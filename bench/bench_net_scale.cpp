@@ -1,25 +1,19 @@
-// E22 — connection scale: the readiness-driven epoll core vs the
-// thread-per-connection core, same wire protocol, same party state.
+// E22 — connection scale on the event-loop core.
 //
 // Two claims under test, one per phase:
 //
-//   query   With hundreds of open connections driven by a bounded worker
-//           pool (tools/loadgen.hpp), the epoll core's accepted-queries/sec
-//           and tail latency must not regress against the thread core —
-//           readiness dispatch plus a small worker pool replaces hundreds
-//           of runnable threads, so p99 should tighten, not widen.
-//   idle    Thousands of push subscriptions that never push cost the epoll
-//           core an fd, a state machine, and a timer-wheel slot each; the
-//           thread core pays a full thread per subscription. Resident
-//           thread count and RSS-per-subscription make the difference
-//           visible. The epoll core is asked to *hold* kIdleSubsEpoll
-//           (2048) live subscriptions; the thread core is measured at a
-//           smaller count (a thread each — the point the experiment makes).
+//   query   Hundreds of open connections driven by a bounded worker pool
+//           (tools/loadgen.hpp): readiness dispatch plus a small worker
+//           pool serves them on a handful of threads, with a bounded p99.
+//   idle    Thousands of push subscriptions that never push cost an fd, a
+//           state machine, and a timer-wheel slot each — not a thread.
+//           Resident thread count and RSS-per-subscription show it. The
+//           server is asked to *hold* 2048 live subscriptions (256 in
+//           --smoke).
 //
 // Parity: after the query load, one union_count round over the real
-// NetworkCountSource per core; both servers ingested the identical stream,
-// so the values must agree bit-for-bit across cores (parity=1 in every
-// row) — the differential guarantee that makes the perf comparison valid.
+// NetworkCountSource must equal the in-process referee over the same party
+// bit-for-bit (parity=1 in every row).
 //
 // JSON lines:
 //   e22_net_scale {io, phase, conns, opened, qps, p50_us, p99_us, errors,
@@ -70,7 +64,7 @@ struct PhaseRow {
   tools::LoadStats load;
   std::uint64_t threads = 0;
   double rss_per_conn = 0.0;
-  int parity = 0;  // filled after both cores ran (cross-core comparison)
+  int parity = 0;  // network round == in-process referee
 };
 
 void emit_row(const PhaseRow& r) {
@@ -103,26 +97,25 @@ std::size_t fd_budget() {
   return static_cast<std::size_t>(rl.rlim_cur);
 }
 
-/// Run both phases against one server core. The caller compares the
-/// returned query-round value across cores for parity.
-double run_core(net::IoModel io, distributed::CountParty& party,
-                std::size_t query_conns, std::uint64_t requests,
-                std::size_t idle_subs, std::vector<PhaseRow>& rows) {
+/// Run both phases against one server. Returns the query-round value the
+/// caller compares with the in-process referee for parity.
+double run_server(distributed::CountParty& party, std::size_t query_conns,
+                  std::uint64_t requests, std::size_t idle_subs,
+                  std::vector<PhaseRow>& rows) {
   net::ServerConfig cfg;
-  cfg.io_model = io;
   cfg.max_connections = query_conns + idle_subs + 16;
   net::PartyServer server(cfg, &party);
   if (!server.start()) {
-    std::fprintf(stderr, "e22: server start failed (io=%s)\n",
-                 net::io_model_name(io));
+    std::fprintf(stderr, "e22: server start failed\n");
     std::exit(1);
   }
+  const char* io = net::io_model_name(net::default_io_model());
   const std::string host = "127.0.0.1";
   const auto deadline = std::chrono::milliseconds(10000);
 
   // -- query phase ---------------------------------------------------------
   PhaseRow q;
-  q.io = net::io_model_name(io);
+  q.io = io;
   q.phase = "query";
   q.conns = query_conns;
   {
@@ -146,7 +139,7 @@ double run_core(net::IoModel io, distributed::CountParty& party,
 
   // -- idle-subscription phase --------------------------------------------
   PhaseRow idle;
-  idle.io = net::io_model_name(io);
+  idle.io = io;
   idle.phase = "idle";
   idle.conns = idle_subs;
   {
@@ -177,31 +170,27 @@ void e22(bool smoke) {
   const std::uint64_t backlog = 2 * kWindow;
   const std::size_t query_conns = smoke ? 64 : 512;
   const std::uint64_t requests = smoke ? 2000 : 20000;
-  std::size_t idle_epoll = smoke ? 256 : 2048;
-  std::size_t idle_threads = smoke ? 64 : 256;
+  std::size_t idle_subs = smoke ? 256 : 2048;
 
   // Each held connection costs two fds in this process (client + server
   // end); leave slack for the party sockets, the listener, and stdio.
   const std::size_t budget = fd_budget();
   const std::size_t max_conns = budget > 512 ? (budget - 256) / 2 : 64;
-  idle_epoll = std::min(idle_epoll, max_conns);
-  idle_threads = std::min(idle_threads, max_conns);
+  idle_subs = std::min(idle_subs, max_conns);
 
   distributed::CountParty party(params(), kInstances, kSeed);
   stream::BernoulliBits gen(0.4, 3);
   for (std::uint64_t i = 0; i < backlog; ++i) party.observe(gen.next());
 
   std::vector<PhaseRow> rows;
-  const double v_threads =
-      run_core(net::IoModel::kThreads, party, query_conns, requests,
-               idle_threads, rows);
-  const double v_epoll = run_core(net::IoModel::kEpoll, party, query_conns,
-                                  requests, idle_epoll, rows);
+  const double v_net =
+      run_server(party, query_conns, requests, idle_subs, rows);
+  const std::vector<const distributed::CountParty*> ps{&party};
+  const double v_direct = distributed::union_count(ps, kWindow).value;
 
-  // Bit-identical answers across cores (NaN-safe: NaN means a failed
+  // Bit-identical to the in-process referee (NaN-safe: NaN means a failed
   // round, which is parity 0).
-  const int parity =
-      (v_threads == v_epoll && !std::isnan(v_threads)) ? 1 : 0;
+  const int parity = (v_net == v_direct && !std::isnan(v_net)) ? 1 : 0;
   for (auto& r : rows) {
     r.parity = parity;
     emit_row(r);
@@ -216,8 +205,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::string_view(argv[i]) == "--smoke") smoke = true;
   }
-  waves::bench::header(
-      "E22: connection scale — epoll core vs thread-per-connection");
+  waves::bench::header("E22: connection scale on the event-loop core");
   waves::bench::row_line({"io", "phase", "opened", "qps", "p99_us",
                           "threads", "rss/conn", "parity"});
   waves::e22(smoke);

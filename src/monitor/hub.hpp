@@ -45,7 +45,6 @@
 #include "monitor/slack.hpp"
 #include "net/client.hpp"
 #include "net/frame.hpp"
-#include "net/io_model.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 
@@ -80,22 +79,15 @@ struct HubConfig {
   std::size_t max_watchers = 64;
   // Per-watcher write budget: an EstimateUpdate push that cannot complete
   // within it evicts the watcher with a typed kOverloaded close (counted
-  // in waves_monitor_hub_watcher_evicted_total). Watchers fan out on their
-  // own threads, so the budget bounds how long one stalled peer can hold
-  // its thread — the healthy watchers' fan-out never waits on it.
+  // in waves_monitor_hub_watcher_evicted_total). The budget is a timer on
+  // the stalled write queue, so one slow peer never delays the healthy
+  // watchers' fan-out.
   std::chrono::milliseconds watcher_write_budget{250};
   // Kernel send-buffer cap (SO_SNDBUF) for each accepted watcher socket;
   // 0 keeps the OS default. Bounding it makes the write budget an effective
   // backpressure bound — with the default auto-tuned buffer the kernel
   // absorbs megabytes of unread pushes before a write ever blocks.
   int watcher_sndbuf = 0;
-  // Watcher fan-out I/O core. kEpoll (the Linux default) multiplexes every
-  // watcher on one event loop: pushes go through non-blocking write queues
-  // with latest-wins estimate coalescing, and the write budget is a timer
-  // on the stalled queue instead of a blocked thread. kThreads keeps the
-  // original thread-per-watcher core. Party legs are threads either way —
-  // there are only ever a handful, and they block in read_frame by design.
-  net::IoModel io_model = net::default_io_model();
   // Count/distinct merge parameters — must match the deployment (stored
   // coins: the hub re-derives the shared hashes from the seed, exactly
   // like NetworkCountSource).
@@ -178,11 +170,8 @@ class MonitorHub {
   void set_leg_down(std::size_t i);
   /// Re-derive the merged estimate from the mirrors and publish it.
   void recompute();
-  void watch_accept_loop(const std::stop_token& st);
-  void serve_watcher(net::Socket sock, const std::stop_token& st);
-  void reap_watchers();
   void emit(const std::string& line);
-  // Event-loop watcher core (hub_loop.cpp); no-ops under kThreads.
+  // Event-loop watcher core (hub_loop.cpp).
   [[nodiscard]] bool watch_start();
   void watch_stop();
   void watch_notify();
@@ -205,17 +194,13 @@ class MonitorHub {
 
   net::Listener listener_;
   std::vector<std::jthread> legs_;
-  std::jthread watch_thread_;
-  struct Watcher {
-    std::jthread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::mutex watchers_mu_;
-  std::vector<Watcher> watchers_;
 
-  // Event-loop watcher core, live only under IoModel::kEpoll. Opaque here
-  // (defined in hub_loop.cpp) with a custom deleter so this header needs
-  // no event-loop types.
+  // Event-loop watcher core: one loop multiplexes every watcher, pushes go
+  // through non-blocking write queues with latest-wins estimate
+  // coalescing. Party legs stay threads — there are only ever a handful,
+  // and they block in read_frame by design. Opaque here (defined in
+  // hub_loop.cpp) with a custom deleter so this header needs no event-loop
+  // types.
   struct WatchCore;
   struct WatchCoreDeleter {
     void operator()(WatchCore* core) const;

@@ -1,7 +1,6 @@
-// MonitorHub's event-loop watcher core (HubConfig::io_model == kEpoll):
-// one EventLoop thread owns every watcher connection, so thousands of
-// `wavecli watch` subscribers cost one resident thread instead of one
-// thread each. Protocol work per frame is a handful of varint decodes and
+// MonitorHub's event-loop watcher core: one EventLoop thread owns every
+// watcher connection, so thousands of `wavecli watch` subscribers cost one
+// resident thread instead of one thread each. Protocol work per frame is a handful of varint decodes and
 // a mutex-guarded estimate copy — cheap enough to run on the loop thread
 // directly, so unlike PartyServer's core there is no worker pool.
 //
@@ -13,10 +12,10 @@
 // revision — intermediate revisions are never queued, so a slow watcher's
 // memory footprint stays one frame no matter how fast the hub recomputes.
 //
-// Backpressure mirrors the threads core's contract: a write queue that
-// stays non-empty past watcher_write_budget evicts the watcher with a
-// typed kOverloaded close (best-effort — the err frame only lands if the
-// socket has room), counted in waves_monitor_hub_watcher_evicted_total.
+// Backpressure: a write queue that stays non-empty past
+// watcher_write_budget evicts the watcher with a typed kOverloaded close
+// (best-effort — the err frame only lands if the socket has room), counted
+// in waves_monitor_hub_watcher_evicted_total.
 #include <cstring>
 
 #include <sys/socket.h>
@@ -217,8 +216,8 @@ struct MonitorHub::WatchCore {
     }
 
     if (w->peer_eof && !w->close_after_flush) {
-      // The threads core closes as soon as a read sees EOF; writes there
-      // are synchronous, so nothing is ever in flight at that point.
+      // A watcher that half-closes is done: close as soon as a read sees
+      // EOF, dropping any queued estimate.
       close_watcher(w);
       return;
     }
@@ -267,7 +266,7 @@ struct MonitorHub::WatchCore {
         }
         w->subscribed = true;
         // The current estimate is the subscription's ack, whatever its
-        // revision — matching serve_watcher.
+        // revision.
         enqueue_estimate(w, hub.estimate());
         return;
       }
@@ -418,8 +417,7 @@ struct MonitorHub::WatchCore {
   }
 
   /// Typed eviction: count it, best-effort the kOverloaded err (it only
-  /// lands if the socket has room — same "when the err frame still fit"
-  /// contract as the threads core), close.
+  /// lands if the socket has room), close.
   void evict(const std::shared_ptr<Watcher>& w) {
     obs::MonitorHubObs::instance().watcher_evicted.add();
     const net::ErrReply err{0, net::ErrCode::kOverloaded,

@@ -58,9 +58,8 @@ namespace {
 MsgType reply_type_for(PartyRole role) {
   switch (role) {
     case PartyRole::kCount:
-      return MsgType::kCountReply;
     case PartyRole::kDistinct:
-      return MsgType::kDistinctReply;
+      return MsgType::kDeltaReply;
     case PartyRole::kBasic:
     case PartyRole::kSum:
       return MsgType::kTotalReply;
@@ -293,10 +292,9 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
   req.request_id = next_request_id_.fetch_add(1, std::memory_order_relaxed);
   req.role = role;
   req.n = n;
-  const bool wants_delta =
-      cfg_.delta_snapshots &&
-      (role == PartyRole::kCount || role == PartyRole::kDistinct);
-  if (wants_delta) {
+  const bool is_delta_role =
+      role == PartyRole::kCount || role == PartyRole::kDistinct;
+  if (is_delta_role) {
     req.delta_capable = true;
     req.since_cursor = role == PartyRole::kCount ? link.count.cursor
                                                  : link.distinct.cursor;
@@ -343,9 +341,7 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
     f.decode_s += lap();
     return f;
   }
-  const bool is_delta_reply =
-      wants_delta && frame.type == MsgType::kDeltaReply;
-  if (frame.type != reply_type_for(role) && !is_delta_reply) {
+  if (frame.type != reply_type_for(role)) {
     fail(FetchStatus::kProtocolError, "unexpected reply type");
     f.decode_s += lap();
     return f;
@@ -363,7 +359,7 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
     return true;
   };
 
-  if (is_delta_reply) {
+  if (is_delta_role) {
     // Per-link scratch reply: decode assigns the body in place, reusing
     // its capacity across rounds.
     DeltaReply& r = link.delta_scratch;
@@ -419,40 +415,9 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
   }
 
   switch (role) {
-    case PartyRole::kCount: {
-      CountReply r;
-      if (!CountReply::decode(frame.payload, r) ||
-          r.request_id != req.request_id) {
-        fail(FetchStatus::kProtocolError, "bad count reply");
-        return f;
-      }
-      if (stale(r.generation)) return f;
-      if (expected > 0 && r.snapshots.size() != expected) {
-        fail(FetchStatus::kProtocolError,
-             "count reply has " + std::to_string(r.snapshots.size()) +
-                 " snapshots, wanted " + std::to_string(expected));
-        return f;
-      }
-      f.count_snapshots = std::move(r.snapshots);
-      break;
-    }
-    case PartyRole::kDistinct: {
-      DistinctReply r;
-      if (!DistinctReply::decode(frame.payload, r) ||
-          r.request_id != req.request_id) {
-        fail(FetchStatus::kProtocolError, "bad distinct reply");
-        return f;
-      }
-      if (stale(r.generation)) return f;
-      if (expected > 0 && r.snapshots.size() != expected) {
-        fail(FetchStatus::kProtocolError,
-             "distinct reply has " + std::to_string(r.snapshots.size()) +
-                 " snapshots, wanted " + std::to_string(expected));
-        return f;
-      }
-      f.distinct_snapshots = std::move(r.snapshots);
-      break;
-    }
+    case PartyRole::kCount:
+    case PartyRole::kDistinct:
+      break;  // answered on the DeltaReply path above
     case PartyRole::kBasic:
     case PartyRole::kSum: {
       TotalReply r;

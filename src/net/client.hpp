@@ -11,15 +11,14 @@
 // (retrying can't fix a wrong-role or protocol bug). Fan-out is one thread
 // per party, so a round costs max-latency, not sum.
 //
-// Fast query path (count/distinct roles, ClientConfig::delta_snapshots):
-// the client mirrors each party's last checkpoint and asks for protocol-v3
-// delta replies against it, so steady-state rounds transfer the *edit*
-// since the previous round instead of the full synopsis. Decoded
-// per-instance snapshots are cached keyed (party generation, cursor, n);
-// an "unchanged" reply is a cache hit that decodes nothing. A generation
-// bump at handshake (the party restarted) silently drops the mirror and
-// bootstraps with a full fetch; a server with delta disabled just answers
-// v2 full replies and everything still works.
+// Query path (count/distinct roles): the client mirrors each party's last
+// checkpoint and asks for DeltaReply bodies against it, so steady-state
+// rounds transfer the *edit* since the previous round instead of the full
+// synopsis; the first round (cursor 0) gets the self-contained full form.
+// Decoded per-instance snapshots are cached keyed (party generation,
+// cursor, n); an "unchanged" reply is a cache hit that decodes nothing. A
+// generation bump at handshake (the party restarted) silently drops the
+// mirror and bootstraps with a full fetch.
 //
 // NetworkCountSource / NetworkDistinctSource adapt the client to the
 // referee's SnapshotSource interface: the snapshot bytes come off the
@@ -69,10 +68,6 @@ struct ClientConfig {
   // (e.g. a daemon launched with a different --instances) must fail typed
   // here, not out-of-bounds there. Totals (Scenario 1) leave this at 0.
   int expected_instances = 0;
-  // Request v3 delta snapshots for count/distinct fetches and maintain the
-  // per-party mirror they apply to. Off, every fetch is a v2 full snapshot
-  // (the --delta off / differential-test configuration).
-  bool delta_snapshots = true;
   // Hard wall-clock ceiling on one logical fetch: attempts plus backoff
   // sleeps never exceed it. Backoffs are clamped to the remaining budget
   // and no new attempt starts once it is spent (the fetch keeps its last
@@ -123,7 +118,7 @@ struct Fetch {
   std::uint64_t generation = 0;
   // How the fetch was served — the knobs E18 and the delta tests assert on.
   bool reused_connection = false;  // keep-alive socket, no new handshake
-  bool delta_reply = false;        // server answered under the v3 framing
+  bool delta_reply = false;        // DeltaReply decoded (count/distinct)
   bool delta_applied = false;      // body was a diff applied to the mirror
   bool cache_hit = false;          // snapshots came from the decoded cache
   std::string error;

@@ -27,9 +27,9 @@ namespace waves::net {
 inline constexpr std::array<std::uint8_t, 4> kMagic{'W', 'A', 'V', 'E'};
 // v2: HelloAck and every reply carry the party's generation (epoch) so a
 // referee can spot a mid-round restart. v1 peers are rejected at the header.
-// v3: SnapshotRequest may carry a delta cursor and servers may answer with
-// kDeltaReply. v2 frames are still accepted on read (the extension is
-// opt-in per request), so v2 peers interoperate on the full-snapshot path.
+// v3: SnapshotRequest may carry a delta cursor and count/distinct parties
+// answer with kDeltaReply. v2 request frames are still accepted on read
+// (a request without the cursor gets the full form).
 // Still v3: SnapshotRequest's trailing extension is generalized to tagged
 // blocks (tag 1 = delta cursor, tag 2 = trace context) and two additive
 // message types carry metrics scrapes (kMetricsRequest/kMetricsReply).
@@ -56,8 +56,9 @@ enum class MsgType : std::uint8_t {
   kHello = 1,
   kHelloAck = 2,
   kSnapshotRequest = 3,
-  kCountReply = 4,
-  kDistinctReply = 5,
+  // 4 and 5 are reserved: the retired v2 count/distinct snapshot replies
+  // (count and distinct now always answer with kDeltaReply). Never reuse
+  // them; a peer that still sends one gets "unexpected reply type".
   kTotalReply = 6,
   kErr = 7,
   kDeltaReply = 8,  // v3: party-checkpoint delta against a cursored baseline

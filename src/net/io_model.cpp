@@ -1,35 +1,17 @@
 #include "net/io_model.hpp"
 
-#include <cstdlib>
-
 namespace waves::net {
 
 IoModel default_io_model() {
 #ifdef __linux__
-  IoModel m = IoModel::kEpoll;
+  return IoModel::kEpoll;
 #else
-  IoModel m = IoModel::kThreads;
+  return IoModel::kPoll;
 #endif
-  if (const char* env = std::getenv("WAVES_IO_MODEL"); env != nullptr) {
-    (void)parse_io_model(env, m);  // malformed: keep the platform default
-  }
-  return m;
 }
 
 const char* io_model_name(IoModel m) {
-  return m == IoModel::kEpoll ? "epoll" : "threads";
-}
-
-bool parse_io_model(std::string_view s, IoModel& out) {
-  if (s == "epoll") {
-    out = IoModel::kEpoll;
-    return true;
-  }
-  if (s == "threads") {
-    out = IoModel::kThreads;
-    return true;
-  }
-  return false;
+  return m == IoModel::kEpoll ? "epoll" : "poll";
 }
 
 }  // namespace waves::net

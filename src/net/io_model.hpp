@@ -1,41 +1,23 @@
-// Transport core selector: every listening component (PartyServer, the
-// hub's watcher fan-out) can run on either of two I/O cores that speak the
-// identical wire protocol:
-//
-//   kThreads  the original thread-per-connection core — one blocking
-//             handler thread per accepted socket. Simple, but connection
-//             count is a thread-budget problem.
-//   kEpoll    the readiness-driven core (net/event_loop.hpp) — one loop
-//             thread multiplexing every connection plus a small fixed
-//             worker pool for synopsis work. Connection count becomes an
-//             fd-budget problem; idle push subscriptions cost a timer-wheel
-//             slot instead of a sleeping thread.
-//
-// The default is kEpoll on Linux and kThreads elsewhere (the portable
-// fallback inside EventLoop is poll(2)-based, but the thread core is the
-// battle-tested path off-Linux). WAVES_IO_MODEL=threads|epoll overrides the
-// default process-wide — the hook the differential CI job uses to pin the
-// legacy core under the full test suite without touching any test.
+// Readiness backend name: every listening component (PartyServer, the
+// hub's watcher fan-out) runs on the event-loop core (net/event_loop.hpp),
+// which waits on epoll(7) on Linux and on poll(2) elsewhere. The name is
+// what startup READY lines print as `io=` and what bench runs are stamped
+// with.
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 namespace waves::net {
 
 enum class IoModel : std::uint8_t {
-  kThreads = 1,
+  kPoll = 1,
   kEpoll = 2,
 };
 
-/// Platform default after applying the WAVES_IO_MODEL env override (read
-/// once per call; malformed values fall through to the platform default).
+/// kEpoll on Linux, kPoll elsewhere.
 [[nodiscard]] IoModel default_io_model();
 
-/// "threads" / "epoll" (stable: startup log lines and --io flags).
+/// "poll" / "epoll" (stable: startup log lines and bench stamps).
 [[nodiscard]] const char* io_model_name(IoModel m);
-
-/// Parse a --io flag value; false (out untouched) on anything else.
-[[nodiscard]] bool parse_io_model(std::string_view s, IoModel& out);
 
 }  // namespace waves::net

@@ -149,57 +149,6 @@ bool SnapshotRequest::decode(const Bytes& in, SnapshotRequest& out) {
   return true;
 }
 
-void CountReply::encode_into(Bytes& out) const {
-  put_varint(out, request_id);
-  put_varint(out, generation);
-  distributed::encode_into(out,
-                           std::span<const core::RandWaveSnapshot>(snapshots));
-}
-
-Bytes CountReply::encode() const {
-  Bytes out;
-  encode_into(out);
-  return out;
-}
-
-bool CountReply::decode(const Bytes& in, CountReply& out) {
-  CountReply r;
-  std::size_t at = 0;
-  if (!get_varint(in, at, r.request_id) || !get_varint(in, at, r.generation)) {
-    return false;
-  }
-  // decode_snapshots consumes a whole buffer, so hand it the remainder.
-  const Bytes rest(in.begin() + static_cast<std::ptrdiff_t>(at), in.end());
-  if (!distributed::decode_snapshots(rest, r.snapshots)) return false;
-  out = std::move(r);
-  return true;
-}
-
-void DistinctReply::encode_into(Bytes& out) const {
-  put_varint(out, request_id);
-  put_varint(out, generation);
-  distributed::encode_into(out,
-                           std::span<const core::DistinctSnapshot>(snapshots));
-}
-
-Bytes DistinctReply::encode() const {
-  Bytes out;
-  encode_into(out);
-  return out;
-}
-
-bool DistinctReply::decode(const Bytes& in, DistinctReply& out) {
-  DistinctReply r;
-  std::size_t at = 0;
-  if (!get_varint(in, at, r.request_id) || !get_varint(in, at, r.generation)) {
-    return false;
-  }
-  const Bytes rest(in.begin() + static_cast<std::ptrdiff_t>(at), in.end());
-  if (!distributed::decode_snapshots(rest, r.snapshots)) return false;
-  out = std::move(r);
-  return true;
-}
-
 Bytes TotalReply::encode() const {
   Bytes out;
   put_varint(out, request_id);

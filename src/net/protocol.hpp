@@ -6,8 +6,9 @@
 //
 // Session shape (client = referee, server = party daemon):
 //   client: Hello            -> server: HelloAck (or Err)
-//   client: SnapshotRequest  -> server: CountReply | DistinctReply |
-//                                        TotalReply | Err
+//   client: SnapshotRequest  -> server: DeltaReply (count/distinct) |
+//                                        TotalReply (basic/sum) |
+//                                        AggReply (agg) | Err
 // A connection serves any number of requests; either side may close it at a
 // frame boundary. Totals (Scenario 1) cross as fixed64 double bit patterns
 // so a networked answer is bit-identical to the in-process one.
@@ -18,8 +19,6 @@
 #include <vector>
 
 #include "agg/agg_wave.hpp"
-#include "core/distinct_wave.hpp"
-#include "core/rand_wave.hpp"
 #include "distributed/wire.hpp"
 
 namespace waves::net {
@@ -83,11 +82,11 @@ struct SnapshotRequest {
   // the original v3 delta form (`1, since_cursor`) parses unchanged as the
   // tag-1 block.
   //
-  // Tag 1 — delta: the client accepts a kDeltaReply; since_cursor != 0
-  // names the baseline party checkpoint it holds, 0 asks for a full body
-  // under the delta framing (mirror bootstrap). Servers may always answer
-  // with the v2 reply kinds instead (delta disabled), so a delta_capable
-  // client handles either.
+  // Tag 1 — delta cursor: since_cursor != 0 names the baseline party
+  // checkpoint the client holds, 0 asks for a full body (mirror
+  // bootstrap). Count/distinct parties always answer with kDeltaReply; a
+  // request without tag 1 reads as since_cursor 0 and gets the
+  // self-contained full form. Other roles ignore the cursor.
   bool delta_capable = false;
   std::uint64_t since_cursor = 0;
 
@@ -101,26 +100,6 @@ struct SnapshotRequest {
   [[nodiscard]] Bytes encode() const;
   void encode_into(Bytes& out) const;
   [[nodiscard]] static bool decode(const Bytes& in, SnapshotRequest& out);
-};
-
-struct CountReply {
-  std::uint64_t request_id = 0;
-  std::uint64_t generation = 0;  // party epoch when this snapshot was taken
-  std::vector<core::RandWaveSnapshot> snapshots;  // one per instance
-
-  [[nodiscard]] Bytes encode() const;
-  void encode_into(Bytes& out) const;
-  [[nodiscard]] static bool decode(const Bytes& in, CountReply& out);
-};
-
-struct DistinctReply {
-  std::uint64_t request_id = 0;
-  std::uint64_t generation = 0;
-  std::vector<core::DistinctSnapshot> snapshots;
-
-  [[nodiscard]] Bytes encode() const;
-  void encode_into(Bytes& out) const;
-  [[nodiscard]] static bool decode(const Bytes& in, DistinctReply& out);
 };
 
 struct TotalReply {
@@ -150,8 +129,8 @@ struct AggReply {
   [[nodiscard]] static bool decode(const Bytes& in, AggReply& out);
 };
 
-// v3 fast-path reply to a delta_capable SnapshotRequest (count/distinct
-// roles). `body` is a recovery party-checkpoint encoding:
+// Reply to a count/distinct SnapshotRequest. `body` is a recovery
+// party-checkpoint encoding:
 //   base_cursor == 0 — self-contained: recovery::encode of the full party
 //     checkpoint (mirror bootstrap, stale-cursor fallback, server restart);
 //   base_cursor != 0 — recovery::encode_delta against the baseline the

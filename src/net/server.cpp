@@ -137,121 +137,8 @@ PartyServer::PartyServer(ServerConfig cfg, SumPartyState* party)
 PartyServer::PartyServer(ServerConfig cfg, AggPartyState* party)
     : cfg_(std::move(cfg)), role_(PartyRole::kAgg), agg_(party) {}
 
-// ~PartyServer lives in server_loop.cpp, where LoopCore is complete.
-
-bool PartyServer::start() {
-  if (!listener_.listen_on(cfg_.host, cfg_.port)) return false;
-  obs::NetLoopObs::instance().io_model.set(
-      static_cast<double>(static_cast<std::uint8_t>(cfg_.io_model)));
-  if (cfg_.io_model == IoModel::kEpoll) {
-    if (loop_start()) return true;
-    listener_.close();
-    return false;
-  }
-  accept_thread_ =
-      std::jthread([this](const std::stop_token& st) { accept_loop(st); });
-  return true;
-}
-
-void PartyServer::stop() {
-  loop_stop();
-  if (accept_thread_.joinable()) {
-    accept_thread_.request_stop();
-    accept_thread_.join();
-  }
-  {
-    std::lock_guard lk(conns_mu_);
-    for (Conn& c : conns_) c.thread.request_stop();
-  }
-  // Handler jthreads honor the stop token within one io_deadline tick; join
-  // them by clearing the list (jthread dtor joins).
-  std::lock_guard lk(conns_mu_);
-  conns_.clear();
-  listener_.close();
-}
-
-void PartyServer::reap_finished() {
-  std::lock_guard lk(conns_mu_);
-  std::erase_if(conns_, [](Conn& c) {
-    return c.done->load(std::memory_order_acquire);
-  });
-}
-
-void PartyServer::accept_loop(const std::stop_token& st) {
-  const auto& obs = obs::NetServerObs::instance();
-  while (!st.stop_requested()) {
-    Socket sock =
-        listener_.accept_one(deadline_in(std::chrono::milliseconds(100)));
-    if (!sock.valid()) {
-      reap_finished();
-      continue;
-    }
-    obs.connections.add();
-    // Connection cap (thread-per-connection: this bounds handler threads).
-    // Reap first so finished handlers don't count against a fresh accept;
-    // over the cap, answer one typed Err frame and close — the peer learns
-    // why instead of seeing a silent RST, and the daemon's thread count
-    // stays bounded no matter how many watchers stampede it.
-    reap_finished();
-    bool over_cap = false;
-    {
-      std::lock_guard lk(conns_mu_);
-      over_cap = conns_.size() >= cfg_.max_connections;
-    }
-    if (over_cap) {
-      obs.overload_rejected.add();
-      ErrReply err{0, ErrCode::kOverloaded, "connection limit reached"};
-      const Bytes payload = err.encode();
-      // Short deadline, outside conns_mu_: the rejection is a courtesy,
-      // and a peer too stalled to take one small frame in 100ms must not
-      // head-of-line-block the accept loop (or the lock) for the full
-      // io_deadline while legitimate clients queue behind it.
-      if (write_frame(sock, MsgType::kErr, payload,
-                      deadline_in(std::chrono::milliseconds(100)))) {
-        obs.bytes_sent.add(kHeaderSize + payload.size());
-      }
-      continue;  // RAII closes the socket
-    }
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::jthread handler(
-        [this, done](const std::stop_token& hst, Socket s) {
-          serve_connection(std::move(s), hst);
-          done->store(true, std::memory_order_release);
-        },
-        std::move(sock));
-    {
-      std::lock_guard lk(conns_mu_);
-      conns_.push_back(Conn{std::move(handler), std::move(done)});
-    }
-    reap_finished();
-  }
-}
-
-void PartyServer::drain(std::chrono::milliseconds grace) {
-  if (loop_ != nullptr) {
-    loop_drain(grace);
-    return;
-  }
-  // No new connections from here on.
-  if (accept_thread_.joinable()) {
-    accept_thread_.request_stop();
-    accept_thread_.join();
-  }
-  listener_.close();
-  // Let in-flight exchanges complete: handlers that are idle-waiting notice
-  // a stop within one 100ms tick; ones mid-reply finish their write.
-  const Deadline dl = deadline_in(grace);
-  for (;;) {
-    reap_finished();
-    {
-      std::lock_guard lk(conns_mu_);
-      if (conns_.empty()) break;
-    }
-    if (Clock::now() >= dl) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  stop();  // stragglers past the grace window are stopped the hard way
-}
+// ~PartyServer, start, stop and drain live in server_loop.cpp, where
+// LoopCore is complete.
 
 void PartyServer::note_checkpoint() {
   const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -386,12 +273,18 @@ void PartyServer::count_delta_answer(const SnapshotRequest& req,
     obs.delta_unchanged.add();
     return;
   }
-  // Retry cache: same since_cursor as the previous reply and nothing
-  // ingested since it was encoded — the client never applied it (timeout,
-  // reconnect), so the identical body is still the right answer even
-  // though the baseline has moved past req.since_cursor.
-  if (st.cache_valid && req.since_cursor == st.cached_since &&
-      req.since_cursor != 0 && count_->items_observed() == st.cached_items) {
+  // Retry cache, nothing ingested since the cached body was encoded:
+  //   - same nonzero since_cursor as the previous reply — the client never
+  //     applied it (timeout, reconnect), so the identical body is still
+  //     the right answer even though the baseline has moved past it;
+  //   - a bootstrap (since_cursor 0) after a full reply — the cached full
+  //     body *is* the current baseline, so it is re-shipped under the same
+  //     cursor instead of re-walking and re-encoding the whole synopsis.
+  const bool retry =
+      req.since_cursor != 0 && req.since_cursor == st.cached_since;
+  const bool rebootstrap = req.since_cursor == 0 && st.cached_base_cursor == 0;
+  if (st.cache_valid && (retry || rebootstrap) &&
+      count_->items_observed() == st.cached_items) {
     r.base_cursor = st.cached_base_cursor;
     r.cursor = st.cached_cursor;
     r.body = st.cached_body;
@@ -453,65 +346,29 @@ void PartyServer::answer(const SnapshotRequest& req, Outbox& out) {
     return;
   }
 
-  const bool delta = req.delta_capable && cfg_.enable_delta &&
-                     (role_ == PartyRole::kCount ||
-                      role_ == PartyRole::kDistinct);
-
+  // Count and distinct always answer under the DeltaReply framing. A
+  // request without extension tag 1 reads as since_cursor 0 and gets the
+  // self-contained full form.
   switch (role_) {
-    case PartyRole::kCount: {
-      if (delta) {
-        DeltaReply r;
-        r.request_id = req.request_id;
-        r.generation = cfg_.generation;
-        r.role = role_;
-        {
-          // Covers the checkpoint walk (which contends with the ingest
-          // lock) and the delta diff — the "interference" phase.
-          auto d = obs::Tracer::instance().start("party.delta",
-                                                 span.context());
-          count_delta_answer(req, r);
-          d.set("body_bytes", static_cast<double>(r.body.size()));
-          d.set("full", r.base_cursor == 0 ? 1.0 : 0.0);
-        }
-        send(MsgType::kDeltaReply, r.encode());
-        return;
-      }
-      CountReply r;
-      r.request_id = req.request_id;
-      r.generation = cfg_.generation;
-      {
-        [[maybe_unused]] auto s = obs::Tracer::instance().start(
-            "party.snapshot", span.context());
-        r.snapshots = count_->snapshots(req.n);
-      }
-      send(MsgType::kCountReply, r.encode());
-      return;
-    }
+    case PartyRole::kCount:
     case PartyRole::kDistinct: {
-      if (delta) {
-        DeltaReply r;
-        r.request_id = req.request_id;
-        r.generation = cfg_.generation;
-        r.role = role_;
-        {
-          auto d = obs::Tracer::instance().start("party.delta",
-                                                 span.context());
-          delta_answer(distinct_, distinct_delta_, req, r);
-          d.set("body_bytes", static_cast<double>(r.body.size()));
-          d.set("full", r.base_cursor == 0 ? 1.0 : 0.0);
-        }
-        send(MsgType::kDeltaReply, r.encode());
-        return;
-      }
-      DistinctReply r;
+      DeltaReply r;
       r.request_id = req.request_id;
       r.generation = cfg_.generation;
+      r.role = role_;
       {
-        [[maybe_unused]] auto s = obs::Tracer::instance().start(
-            "party.snapshot", span.context());
-        r.snapshots = distinct_->snapshots(req.n);
+        // Covers the checkpoint walk (which contends with the ingest lock)
+        // and the delta diff — the "interference" phase.
+        auto d = obs::Tracer::instance().start("party.delta", span.context());
+        if (role_ == PartyRole::kCount) {
+          count_delta_answer(req, r);
+        } else {
+          delta_answer(distinct_, distinct_delta_, req, r);
+        }
+        d.set("body_bytes", static_cast<double>(r.body.size()));
+        d.set("full", r.base_cursor == 0 ? 1.0 : 0.0);
       }
-      send(MsgType::kDistinctReply, r.encode());
+      send(MsgType::kDeltaReply, r.encode());
       return;
     }
     case PartyRole::kBasic: {
@@ -822,64 +679,6 @@ PartyServer::ConnAction PartyServer::process_frame(const Frame& frame,
   }
   if (sub.active) drift_tick(sub, out);
   return ConnAction::kKeep;
-}
-
-void PartyServer::serve_connection(Socket sock, const std::stop_token& st) {
-  const auto& obs = obs::NetServerObs::instance();
-  // One Frame for the whole connection: read_frame assigns into it, so a
-  // multi-round keep-alive client reuses the payload's high-water capacity
-  // instead of allocating per request.
-  Frame frame;
-  // At most one push subscription per connection; stack-local, so its
-  // delta baselines die with the handler thread.
-  Subscription sub;
-  Outbox out;
-  // Any failed write drops the connection: send_all may have delivered a
-  // prefix, after which the frame stream is unrecoverable (socket.hpp).
-  auto flush = [&](Deadline dl) -> bool {
-    for (OutFrame& f : out) {
-      if (!write_frame(sock, f.type, f.payload, dl)) return false;
-      obs.bytes_sent.add(kHeaderSize + f.payload.size());
-    }
-    out.clear();
-    return true;
-  };
-  while (!st.stop_requested()) {
-    // Idle-wait in short ticks so a stop request is honored promptly even
-    // on a silent connection; the io_deadline only applies once bytes
-    // flow. A subscribed connection ticks at the subscription's drift
-    // cadence instead, and runs the drift check after every wake-up.
-    const std::chrono::milliseconds tick =
-        sub.active ? std::min(sub.check, std::chrono::milliseconds(100))
-                   : std::chrono::milliseconds(100);
-    if (!sock.wait_readable(deadline_in(tick))) {
-      if (sub.active) {
-        out.clear();
-        drift_tick(sub, out);
-        if (!flush(deadline_in(cfg_.io_deadline))) return;
-      }
-      continue;
-    }
-    const Deadline dl = deadline_in(cfg_.io_deadline);
-    const ReadStatus rs = read_frame(sock, frame, dl);
-    if (rs == ReadStatus::kClosed) return;
-    if (rs == ReadStatus::kTimeout) continue;
-    if (rs == ReadStatus::kMalformed) {
-      obs.frame_errors.add();
-      ErrReply err{0, ErrCode::kBadRequest, "malformed frame"};
-      const Bytes payload = err.encode();
-      if (write_frame(sock, MsgType::kErr, payload, dl)) {
-        obs.bytes_sent.add(kHeaderSize + payload.size());
-      }
-      return;  // framing is lost; drop the connection
-    }
-    obs.bytes_received.add(kHeaderSize + frame.payload.size());
-
-    out.clear();
-    const ConnAction act = process_frame(frame, sub, out);
-    if (!flush(dl)) return;
-    if (act == ConnAction::kClose) return;
-  }
 }
 
 }  // namespace waves::net

@@ -4,18 +4,11 @@
 // Hello / SnapshotRequest messages. The `waved` daemon is a thin CLI shell
 // around this class; tests and benches embed it in-process.
 //
-// Concurrency: two interchangeable I/O cores behind ServerConfig::io_model
-// (net/io_model.hpp), both speaking the identical wire protocol:
-//
-//   threads  one accept-loop thread plus one short-lived thread per
-//            connection (the original core, kept for differential testing).
-//   epoll    one EventLoop thread multiplexing every connection plus a
-//            small fixed worker pool for the synopsis work; push-drift
-//            checks are timer-wheel entries, so thousands of idle
-//            subscriptions cost no threads (net/event_loop.hpp).
-//
-// Both cores feed the same frame logic (process_frame below), so replies
-// are byte-identical regardless of the core. Backends are internally
+// Concurrency: one EventLoop thread multiplexes every connection and a
+// small fixed worker pool runs the synopsis work (server_loop.cpp);
+// push-drift checks are timer-wheel entries, so thousands of idle
+// subscriptions cost no threads (net/event_loop.hpp). The frame logic
+// (process_frame below) is transport-independent. Backends are internally
 // locked (the parties) or locked here (the totals states), so an ingestion
 // thread may keep feeding while the referee queries — the model's "parties
 // observe, referee asks" split.
@@ -28,7 +21,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "agg/agg_wave.hpp"
@@ -36,7 +28,6 @@
 #include "core/sum_wave.hpp"
 #include "distributed/party.hpp"
 #include "net/frame.hpp"
-#include "net/io_model.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "recovery/checkpoint.hpp"
@@ -138,31 +129,22 @@ struct ServerConfig {
   // The daemon's epoch, advertised in HelloAck and stamped on every reply;
   // a StateStore-backed daemon bumps and persists it at startup.
   std::uint64_t generation = 0;
-  // Per-I/O-op deadline on connection handlers; a stalled peer can hold a
-  // handler thread at most this long per frame.
+  // Per-connection I/O deadline: a partial frame must complete, and a
+  // queued reply drain, within this long or the connection is closed.
   std::chrono::milliseconds io_deadline{5000};
-  // Answer delta-capable SnapshotRequests (count/distinct roles) with
-  // kDeltaReply bodies diffed against the last checkpoint this server
-  // handed out. Off, every request gets the v2 full reply — the knob the
-  // loopback test and `waved --delta off` use to exercise degradation.
-  bool enable_delta = true;
   // Accept kSubscribe and run eps-slack push legs (src/monitor/). Off,
   // subscriptions are rejected with kBadRequest — `waved --push off`.
   bool enable_push = true;
   // Default drift-check cadence for subscriptions that don't carry their
   // own (tag-3 check_every_ms of 0).
   std::chrono::milliseconds push_check{25};
-  // Hard cap on live connections (thread-per-connection: this bounds the
-  // handler threads; epoll: the fd budget). Over the cap, a fresh accept is
-  // answered with one ErrReply{kOverloaded} frame and closed — typed,
-  // counted in waves_net_server_overload_rejected_total — so a watcher
-  // stampede or a socket leak degrades loudly instead of exhausting the
-  // daemon.
+  // Hard cap on live connections (the fd budget). Over the cap, a fresh
+  // accept is answered with one ErrReply{kOverloaded} frame and closed —
+  // typed, counted in waves_net_server_overload_rejected_total — so a
+  // watcher stampede or a socket leak degrades loudly instead of
+  // exhausting the daemon.
   std::size_t max_connections = 64;
-  // Which I/O core serves connections (identical wire behavior either
-  // way); see net/io_model.hpp for the default + WAVES_IO_MODEL override.
-  IoModel io_model = default_io_model();
-  // Epoll-core worker threads (0 = default_worker_count()).
+  // Worker threads for the synopsis work (0 = default_worker_count()).
   std::size_t io_workers = 0;
 };
 
@@ -181,13 +163,14 @@ class PartyServer {
   PartyServer(const PartyServer&) = delete;
   PartyServer& operator=(const PartyServer&) = delete;
 
-  /// Bind + listen + start the accept loop. False if the bind fails.
+  /// Bind + listen + start the event loop. False if the bind fails.
   [[nodiscard]] bool start();
   [[nodiscard]] std::uint16_t port() const noexcept {
     return listener_.port();
   }
   [[nodiscard]] PartyRole role() const noexcept { return role_; }
-  /// Stop accepting, join all threads, close the listener. Idempotent.
+  /// Stop accepting, join the loop and workers, close the listener.
+  /// Idempotent.
   void stop();
   /// Graceful shutdown: stop accepting new connections immediately, then
   /// give in-flight handlers up to `grace` to finish their current exchange
@@ -199,10 +182,8 @@ class PartyServer {
   void note_checkpoint();
 
  private:
-  void accept_loop(const std::stop_token& st);
-  void serve_connection(Socket sock, const std::stop_token& st);
   // Delta baseline: the party checkpoint most recently shipped to *any*
-  // delta-capable client, cursored by an always-bumping serial. The serial
+  // client, cursored by an always-bumping serial. The serial
   // (not the party's item count) is the wire cursor, so two clients
   // interleaving requests can never hold different baselines under the same
   // cursor value — a since_cursor that isn't the current serial simply
@@ -220,7 +201,8 @@ class PartyServer {
   // timed out and retries the same since_cursor would otherwise miss the
   // (already advanced) baseline and force a full resync; as long as
   // nothing was ingested in between, re-shipping the previous body verbatim
-  // is exactly equivalent.
+  // is exactly equivalent. The same cache answers repeated bootstraps
+  // (since_cursor 0) on a quiescent party without re-encoding.
   struct CountDeltaState {
     std::mutex mu;
     std::uint64_t serial = 0;  // 0 = no baseline handed out yet
@@ -234,9 +216,9 @@ class PartyServer {
   };
 
   // One connection's active push subscription (at most one; a replacing
-  // kSubscribe restarts the chain). Lives on the handler thread's stack —
-  // no cross-connection sharing, so the per-subscription delta baselines
-  // need no locks beyond the party's own.
+  // kSubscribe restarts the chain). Owned by its connection — no
+  // cross-connection sharing, so the per-subscription delta baselines need
+  // no locks beyond the party's own.
   struct Subscription {
     bool active = false;
     std::uint64_t request_id = 0;
@@ -255,10 +237,7 @@ class PartyServer {
     distributed::DistinctPartyCheckpoint distinct_base;
   };
 
-  // Frames a core must write for one processed request, in order. Both
-  // I/O cores run the same builders and only differ in how the bytes reach
-  // the peer (blocking send vs. nonblocking write queue), which is what
-  // keeps the two cores byte-identical on the wire.
+  // Frames the loop must write for one processed request, in order.
   struct OutFrame {
     MsgType type;
     Bytes payload;
@@ -273,14 +252,13 @@ class PartyServer {
   [[nodiscard]] HealthReply health_reply(std::uint64_t request_id) const;
   /// The transport-independent frame state machine: decode one frame,
   /// append the reply frames (if any) to `out`, update the connection's
-  /// subscription. Runs the post-frame drift check. Called from handler
-  /// threads (threads core) and pool workers (epoll core) — everything it
-  /// touches beyond `sub`/`out` is internally locked.
+  /// subscription. Runs the post-frame drift check. Called from pool
+  /// workers — everything it touches beyond `sub`/`out` is internally
+  /// locked.
   [[nodiscard]] ConnAction process_frame(const Frame& frame, Subscription& sub,
                                          Outbox& out);
-  /// Drift check + conditional push; called on every idle tick of a
-  /// subscribed connection (threads core: wait_readable timeout; epoll
-  /// core: timer-wheel entry).
+  /// Drift check + conditional push; called on every timer-wheel tick of
+  /// a subscribed connection.
   void drift_tick(Subscription& sub, Outbox& out);
   /// Builds the role-appropriate reply (or Err) for a decoded request.
   void answer(const SnapshotRequest& req, Outbox& out);
@@ -295,11 +273,6 @@ class PartyServer {
   /// Count-role replacement for delta_answer: O(change) live diff plus a
   /// retry cache (see CountDeltaState).
   void count_delta_answer(const SnapshotRequest& req, DeltaReply& r) const;
-  void reap_finished();
-  // Epoll-core lifecycle (server_loop.cpp).
-  [[nodiscard]] bool loop_start();
-  void loop_stop();
-  void loop_drain(std::chrono::milliseconds grace);
 
   ServerConfig cfg_;
   PartyRole role_;
@@ -313,21 +286,13 @@ class PartyServer {
   mutable DeltaState<distributed::DistinctPartyCheckpoint> distinct_delta_;
 
   Listener listener_;
-  std::jthread accept_thread_;
 
   // Health-probe sources: process-relative steady timestamps in ns. 0 in
   // last_checkpoint_ns_ means "never checkpointed this generation".
   Clock::time_point started_ = Clock::now();
   std::atomic<std::uint64_t> last_checkpoint_ns_{0};
 
-  struct Conn {
-    std::jthread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::mutex conns_mu_;
-  std::vector<Conn> conns_;
-
-  // Epoll core (server_loop.cpp); null when io_model == kThreads. The
+  // Event-loop core (server_loop.cpp); null until start(). The
   // out-of-line deleter keeps LoopCore fully private to that TU.
   struct LoopCore;
   struct LoopCoreDeleter {

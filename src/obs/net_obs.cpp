@@ -50,8 +50,7 @@ const NetLoopObs& NetLoopObs::instance() {
                             reg.counter("waves_net_loop_events_total"),
                             reg.counter("waves_net_loop_timer_fires_total"),
                             reg.counter("waves_net_loop_stalled_writes_total"),
-                            reg.gauge("waves_net_loop_queue_depth"),
-                            reg.gauge("waves_net_io_model")};
+                            reg.gauge("waves_net_loop_queue_depth")};
   return o;
 }
 

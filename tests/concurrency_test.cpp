@@ -145,11 +145,11 @@ TEST(Concurrency, ObsHammerLosesNoUpdates) {
   g.reset();
   h.reset();
 
-  constexpr int kThreads = 8;
+  constexpr int kWriters = 8;
   constexpr std::uint64_t kPerThread = 100000;
   {
     std::vector<std::jthread> writers;
-    for (int t = 0; t < kThreads; ++t) {
+    for (int t = 0; t < kWriters; ++t) {
       writers.emplace_back([&, t] {
         for (std::uint64_t i = 0; i < kPerThread; ++i) {
           c.add();
@@ -160,15 +160,15 @@ TEST(Concurrency, ObsHammerLosesNoUpdates) {
     }
   }  // join
 
-  EXPECT_EQ(c.value(), kThreads * kPerThread);
+  EXPECT_EQ(c.value(), kWriters * kPerThread);
   const auto s = h.sample();
-  EXPECT_EQ(s.count, kThreads * kPerThread);
+  EXPECT_EQ(s.count, kWriters * kPerThread);
   std::uint64_t bucket_total = 0;
   for (const std::uint64_t n : s.counts) bucket_total += n;
-  EXPECT_EQ(bucket_total, kThreads * kPerThread);
+  EXPECT_EQ(bucket_total, kWriters * kPerThread);
   // The gauge holds whichever thread wrote last — any valid id.
   EXPECT_GE(g.value(), 0.0);
-  EXPECT_LT(g.value(), static_cast<double>(kThreads));
+  EXPECT_LT(g.value(), static_cast<double>(kWriters));
 }
 
 #endif  // WAVES_OBS_ENABLED

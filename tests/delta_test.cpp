@@ -531,7 +531,7 @@ TEST(NetDeltaCore, SnapshotFromCheckpointMatchesLiveSnapshot) {
   }
 }
 
-// -- live differential: delta client vs full client ------------------------
+// -- live differential: delta client vs the in-process party ---------------
 
 constexpr double kEps = 0.25;
 constexpr std::uint64_t kWindow = 1024;
@@ -549,12 +549,6 @@ core::DistinctWave::Params distinct_params() {
           .max_value = 1u << 12,
           .c = 36,
           .universe_hint = kWindow * kParties};
-}
-
-ClientConfig delta_cfg(bool on) {
-  ClientConfig cfg;
-  cfg.delta_snapshots = on;
-  return cfg;
 }
 
 void expect_same_snapshots(const std::vector<core::RandWaveSnapshot>& a,
@@ -577,15 +571,17 @@ void expect_same_snapshots(const std::vector<core::DistinctSnapshot>& a,
   }
 }
 
+// The oracle is the party's own live snapshots: the delta client must
+// reproduce them exactly from its mirrored checkpoints, round after round.
 TEST(NetDelta, CountDeltaClientMatchesFullClientBitForBit) {
   distributed::CountParty party(count_params(), kInstances, kSeed);
   PartyServer server(ServerConfig{}, &party);
   ASSERT_TRUE(server.start());
   const std::vector<Endpoint> eps{{"127.0.0.1", server.port()}};
-  const RefereeClient delta(eps, delta_cfg(true));
-  const RefereeClient full(eps, delta_cfg(false));
+  const RefereeClient delta(eps, ClientConfig{});
 
   stream::BernoulliBits bits(0.3, 8);
+  std::uint64_t bootstrap_received = 0;
   std::uint64_t less_received = 0;
   for (int round = 0; round < 6; ++round) {
     // Rounds 0..3 ingest between queries; rounds 4 and 5 are quiescent.
@@ -593,20 +589,20 @@ TEST(NetDelta, CountDeltaClientMatchesFullClientBitForBit) {
     for (int i = 0; i < chunk; ++i) party.observe(bits.next());
 
     const Fetch fd = delta.fetch(0, PartyRole::kCount, kWindow);
-    const Fetch ff = full.fetch(0, PartyRole::kCount, kWindow);
     ASSERT_TRUE(fd.ok()) << round << " " << fd.error;
-    ASSERT_TRUE(ff.ok()) << round << " " << ff.error;
-    expect_same_snapshots(fd.count_snapshots, ff.count_snapshots);
+    expect_same_snapshots(fd.count_snapshots, party.snapshots(kWindow));
 
     EXPECT_TRUE(fd.delta_reply) << round;
-    EXPECT_FALSE(ff.delta_reply) << round;
     EXPECT_EQ(fd.reused_connection, round > 0) << round;
     // Round 0 bootstraps with a full body; later ingesting rounds apply a
     // diff; quiescent rounds are served from the decoded-snapshot cache.
     EXPECT_EQ(fd.delta_applied, round >= 1 && round < 4) << round;
     EXPECT_EQ(fd.cache_hit, round >= 4) << round;
+    if (round == 0) bootstrap_received = fd.bytes_received;
     if (round >= 1 && round < 4) {
-      EXPECT_LT(fd.bytes_received, ff.bytes_received) << round;
+      // A diff moves less than the full-form bootstrap (which also
+      // carried the handshake).
+      EXPECT_LT(fd.bytes_received, bootstrap_received) << round;
       less_received += 1;
     }
   }
@@ -618,8 +614,7 @@ TEST(NetDelta, DistinctDeltaClientMatchesFullClientBitForBit) {
   PartyServer server(ServerConfig{}, &party);
   ASSERT_TRUE(server.start());
   const std::vector<Endpoint> eps{{"127.0.0.1", server.port()}};
-  const RefereeClient delta(eps, delta_cfg(true));
-  const RefereeClient full(eps, delta_cfg(false));
+  const RefereeClient delta(eps, ClientConfig{});
 
   stream::ZipfValues gen(1u << 12, 1.2, 9);
   for (int round = 0; round < 4; ++round) {
@@ -627,10 +622,8 @@ TEST(NetDelta, DistinctDeltaClientMatchesFullClientBitForBit) {
     for (int i = 0; i < chunk; ++i) party.observe(gen.next());
 
     const Fetch fd = delta.fetch(0, PartyRole::kDistinct, kWindow);
-    const Fetch ff = full.fetch(0, PartyRole::kDistinct, kWindow);
     ASSERT_TRUE(fd.ok()) << round << " " << fd.error;
-    ASSERT_TRUE(ff.ok()) << round << " " << ff.error;
-    expect_same_snapshots(fd.distinct_snapshots, ff.distinct_snapshots);
+    expect_same_snapshots(fd.distinct_snapshots, party.snapshots(kWindow));
     EXPECT_EQ(fd.delta_applied, round == 1 || round == 2) << round;
     EXPECT_EQ(fd.cache_hit, round == 3) << round;
   }
@@ -681,54 +674,31 @@ TEST(NetDelta, StaleCursorFallsBackToFullAndStaysCorrect) {
   // Two delta clients interleave against one server: each fetch bumps the
   // server's cursor, so the other client's since_cursor is always stale.
   // Every reply must degrade to a correct full snapshot, never garbage.
+  // The party ingests before every fetch, so no two replies describe the
+  // same state and the server's retry cache can never serve one.
   distributed::CountParty party(count_params(), kInstances, kSeed);
   PartyServer server(ServerConfig{}, &party);
   ASSERT_TRUE(server.start());
   const std::vector<Endpoint> eps{{"127.0.0.1", server.port()}};
-  const RefereeClient a(eps, delta_cfg(true));
-  const RefereeClient b(eps, delta_cfg(true));
-  const RefereeClient full(eps, delta_cfg(false));
+  const RefereeClient a(eps, ClientConfig{});
+  const RefereeClient b(eps, ClientConfig{});
 
   stream::BernoulliBits bits(0.3, 44);
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 400; ++i) party.observe(bits.next());
     const Fetch fa = a.fetch(0, PartyRole::kCount, kWindow);
-    const Fetch fb = b.fetch(0, PartyRole::kCount, kWindow);
-    const Fetch ff = full.fetch(0, PartyRole::kCount, kWindow);
     ASSERT_TRUE(fa.ok()) << fa.error;
+    expect_same_snapshots(fa.count_snapshots, party.snapshots(kWindow));
+    for (int i = 0; i < 50; ++i) party.observe(bits.next());
+    const Fetch fb = b.fetch(0, PartyRole::kCount, kWindow);
     ASSERT_TRUE(fb.ok()) << fb.error;
-    ASSERT_TRUE(ff.ok()) << ff.error;
+    expect_same_snapshots(fb.count_snapshots, party.snapshots(kWindow));
     // b's fetch invalidated a's cursor (and vice versa): after round 0
     // every reply is a full-body fallback, yet still bit-correct.
     if (round > 0) {
       EXPECT_FALSE(fa.delta_applied) << round;
       EXPECT_FALSE(fb.delta_applied) << round;
     }
-    expect_same_snapshots(fa.count_snapshots, ff.count_snapshots);
-    expect_same_snapshots(fb.count_snapshots, ff.count_snapshots);
-  }
-}
-
-TEST(NetDelta, DeltaDisabledServerStillServesDeltaClients) {
-  distributed::CountParty party(count_params(), kInstances, kSeed);
-  stream::BernoulliBits bits(0.3, 51);
-  for (int i = 0; i < 2000; ++i) party.observe(bits.next());
-  ServerConfig cfg;
-  cfg.enable_delta = false;
-  PartyServer server(cfg, &party);
-  ASSERT_TRUE(server.start());
-  const std::vector<Endpoint> eps{{"127.0.0.1", server.port()}};
-  const RefereeClient delta(eps, delta_cfg(true));
-  const RefereeClient full(eps, delta_cfg(false));
-
-  for (int round = 0; round < 2; ++round) {
-    const Fetch fd = delta.fetch(0, PartyRole::kCount, kWindow);
-    const Fetch ff = full.fetch(0, PartyRole::kCount, kWindow);
-    ASSERT_TRUE(fd.ok()) << fd.error;
-    ASSERT_TRUE(ff.ok()) << ff.error;
-    EXPECT_FALSE(fd.delta_reply) << round;  // server answered v2
-    EXPECT_EQ(fd.reused_connection, round > 0) << round;
-    expect_same_snapshots(fd.count_snapshots, ff.count_snapshots);
   }
 }
 
@@ -746,7 +716,7 @@ TEST(NetDelta, RestartDropsMirrorAndRecoversWithFullFetch) {
   ASSERT_TRUE(server->start());
   const std::uint16_t port = server->port();
   const std::vector<Endpoint> eps{{"127.0.0.1", port}};
-  const RefereeClient delta(eps, delta_cfg(true));
+  const RefereeClient delta(eps, ClientConfig{});
 
 #if WAVES_OBS_ENABLED
   const std::uint64_t reconnects_before =
@@ -777,10 +747,7 @@ TEST(NetDelta, RestartDropsMirrorAndRecoversWithFullFetch) {
   EXPECT_FALSE(f.delta_applied);      // mirror dropped: full bootstrap
   EXPECT_FALSE(f.cache_hit);
 
-  const RefereeClient full(eps, delta_cfg(false));
-  const Fetch ff = full.fetch(0, PartyRole::kCount, kWindow);
-  ASSERT_TRUE(ff.ok()) << ff.error;
-  expect_same_snapshots(f.count_snapshots, ff.count_snapshots);
+  expect_same_snapshots(f.count_snapshots, party.snapshots(kWindow));
 
   // And the delta path resumes against the new generation.
   for (int i = 0; i < 100; ++i) party.observe(bits.next());
@@ -802,7 +769,7 @@ TEST(NetDelta, DisconnectAllKeepsMirrorsAcrossReconnect) {
   PartyServer server(ServerConfig{}, &party);
   ASSERT_TRUE(server.start());
   const RefereeClient client({{"127.0.0.1", server.port()}},
-                             delta_cfg(true));
+                             ClientConfig{});
 
   Fetch f = client.fetch(0, PartyRole::kCount, kWindow);
   ASSERT_TRUE(f.ok()) << f.error;

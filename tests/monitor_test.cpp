@@ -549,7 +549,10 @@ TEST(MonitorPush, UnsubscribeStopsPushesConnectionStaysUsable) {
   ASSERT_TRUE(net::write_frame(sock, net::MsgType::kSnapshotRequest,
                                req.encode(), soon()));
   ASSERT_EQ(net::read_frame(sock, f, soon()), net::ReadStatus::kOk);
-  EXPECT_EQ(f.type, net::MsgType::kCountReply);
+  ASSERT_EQ(f.type, net::MsgType::kDeltaReply);
+  net::DeltaReply rep;
+  ASSERT_TRUE(net::DeltaReply::decode(f.payload, rep));
+  EXPECT_EQ(rep.base_cursor, 0u);  // no tag 1: the self-contained full form
 }
 
 TEST(MonitorPush, BasicTotalPushCarriesBitExactEstimate) {
@@ -599,7 +602,10 @@ TEST(MonitorPush, TypedRejectionsKeepTheConnection) {
     ASSERT_TRUE(net::write_frame(sock, net::MsgType::kSnapshotRequest,
                                  req.encode(), soon()));
     ASSERT_EQ(net::read_frame(sock, f, soon()), net::ReadStatus::kOk);
-    EXPECT_EQ(f.type, net::MsgType::kCountReply);
+    ASSERT_EQ(f.type, net::MsgType::kDeltaReply);
+    net::DeltaReply rep;
+    ASSERT_TRUE(net::DeltaReply::decode(f.payload, rep));
+    EXPECT_EQ(rep.base_cursor, 0u);
   }
   {  // role mismatch
     distributed::CountParty party(count_params(), kInstances, kSeed);

@@ -1,16 +1,17 @@
 // Event-loop core tests: EventLoop timers/fds/post (both backends — epoll
-// and the poll(2) fallback), the WorkerPool, byte-level differential
-// checks between the thread-per-connection core and the epoll core, and
-// the slow-loris deadline behavior only the readiness-driven core can be
-// attacked with. Suite names start with NetLoop so the TSan CI leg's
+// and the poll(2) fallback), the WorkerPool, a golden wire transcript of
+// the party server, and the slow-loris deadline behavior of the
+// readiness-driven core. Suite names start with NetLoop so the TSan CI leg's
 // -R "...|Net" regex picks every test up.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -18,7 +19,6 @@
 #include "distributed/party.hpp"
 #include "net/event_loop.hpp"
 #include "net/frame.hpp"
-#include "net/io_model.hpp"
 #include "net/protocol.hpp"
 #include "net/server.hpp"
 #include "net/socket.hpp"
@@ -249,7 +249,7 @@ TEST(NetLoopPool, DefaultWorkerCountIsBoundedSmall) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: the two cores must be byte-identical on the wire.
+// Live server over raw frames.
 
 struct RawConn {
   Socket sock;
@@ -269,71 +269,141 @@ struct RawConn {
   }
 };
 
-TEST(NetLoopDifferential, WireBytesIdenticalAcrossCores) {
-  distributed::CountParty party(params(), 3, 21);
-  for (int i = 0; i < 3000; ++i) party.observe((i % 3) == 0);
+// ---------------------------------------------------------------------------
+// Golden wire transcript: a fixed script against a fixed-seed CountParty
+// behind a fresh generation-1 server, every reply's type and payload bytes
+// pinned to constants. Any change to what a party puts on the wire shows
+// up here as a byte diff. A DeltaReply payload is request_id, generation,
+// role, base_cursor, cursor, then the length-prefixed body: the two full
+// forms below differ only in their request_id byte (the second bootstrap
+// of an unchanged party re-ships the first under the same cursor).
 
-  ServerConfig threads_cfg;
-  threads_cfg.io_model = IoModel::kThreads;
-  ServerConfig epoll_cfg;
-  epoll_cfg.io_model = IoModel::kEpoll;
-  PartyServer threads_srv(threads_cfg, &party);
-  PartyServer epoll_srv(epoll_cfg, &party);
-  ASSERT_TRUE(threads_srv.start());
-  ASSERT_TRUE(epoll_srv.start());
-
-  RawConn a = RawConn::open(threads_srv.port());
-  RawConn b = RawConn::open(epoll_srv.port());
-
-  // Handshake: identical HelloAck bytes.
-  Hello hello;
-  hello.client_id = 42;
-  const Frame ack_a = a.exchange(MsgType::kHello, hello.encode());
-  const Frame ack_b = b.exchange(MsgType::kHello, hello.encode());
-  EXPECT_EQ(ack_a.type, MsgType::kHelloAck);
-  EXPECT_EQ(ack_a.type, ack_b.type);
-  EXPECT_EQ(ack_a.payload, ack_b.payload);
-
-  // Full snapshot reply: identical bytes (same party, same cursor).
-  SnapshotRequest req;
-  req.request_id = 7;
-  req.role = PartyRole::kCount;
-  req.n = 1024;
-  const Frame rep_a = a.exchange(MsgType::kSnapshotRequest, req.encode());
-  const Frame rep_b = b.exchange(MsgType::kSnapshotRequest, req.encode());
-  EXPECT_EQ(rep_a.type, MsgType::kCountReply);
-  EXPECT_EQ(rep_a.type, rep_b.type);
-  EXPECT_EQ(rep_a.payload, rep_b.payload);
-
-  // Typed error path: wrong role, identical ErrReply bytes, connection
-  // stays usable on both cores.
-  req.request_id = 8;
-  req.role = PartyRole::kDistinct;
-  const Frame err_a = a.exchange(MsgType::kSnapshotRequest, req.encode());
-  const Frame err_b = b.exchange(MsgType::kSnapshotRequest, req.encode());
-  EXPECT_EQ(err_a.type, MsgType::kErr);
-  EXPECT_EQ(err_a.type, err_b.type);
-  EXPECT_EQ(err_a.payload, err_b.payload);
-  ErrReply decoded;
-  ASSERT_TRUE(ErrReply::decode(err_a.payload, decoded));
-  EXPECT_EQ(decoded.code, ErrCode::kWrongRole);
-
-  req.request_id = 9;
-  req.role = PartyRole::kCount;
-  const Frame again_a = a.exchange(MsgType::kSnapshotRequest, req.encode());
-  const Frame again_b = b.exchange(MsgType::kSnapshotRequest, req.encode());
-  EXPECT_EQ(again_a.payload, again_b.payload);
+std::string to_hex(const Bytes& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  s.reserve(2 * b.size());
+  for (const std::uint8_t v : b) {
+    s.push_back(kDigits[v >> 4]);
+    s.push_back(kDigits[v & 0xf]);
+  }
+  return s;
 }
 
-// Live-server behaviors per core: handshake, query, subscribe ack.
-class NetLoopServer : public ::testing::TestWithParam<IoModel> {};
+struct GoldenStep {
+  const char* what;
+  MsgType type;
+  const char* payload_hex;
+};
 
-TEST_P(NetLoopServer, HelloQuerySubscribeAllServe) {
+constexpr GoldenStep kGolden[] = {
+    {"hello", MsgType::kHelloAck, "01000240960101"},
+    {"request without tag 1", MsgType::kDeltaReply,
+     "01010100019601960102960108107f02010201020102010201020102"
+     "01021069010201020102010201020102010201065701020102010657"
+     "0102010201015701570000087e67460000000000960108107f020102"
+     "010201020102010201020102105e0305060301030605060303030103"
+     "050b5a030f0409050606030405075a032706030405045a0334050291"
+     "0105019101019101087e5d000000000000"},
+    {"tag 1, since_cursor 0", MsgType::kDeltaReply,
+     "02010100019601960102960108107f02010201020102010201020102"
+     "01021069010201020102010201020102010201065701020102010657"
+     "0102010201015701570000087e67460000000000960108107f020102"
+     "010201020102010201020102105e0305060301030605060303030103"
+     "050b5a030f0409050606030405075a032706030405045a0334050291"
+     "0105019101019101087e5d000000000000"},
+    {"delta after ingest", MsgType::kDeltaReply,
+     "03010101024ebe010200be0108080801050505050505050c0f000006"
+     "000006000001000001000000000000000000be010808080105050505"
+     "0505050c090206190106011f00020000020000000000000000000000"},
+    {"unchanged", MsgType::kDeltaReply, "040101020200"},
+    {"wrong role", MsgType::kErr,
+     "05021770617274792073657276657320726f6c6520636f756e74"},
+    {"subscribe ack", MsgType::kPushUpdate,
+     "06010101be01000171be0102be0108108b0102010201020102010505"
+     "0505050505017f000000000000088a0167460000000000be0108108b"
+     "01020102010201020105050505050505098401030303010305061906"
+     "8401060304051f058401060304050291010502910105019101019101"
+     "088a015e000000000000"},
+    {"malformed header", MsgType::kErr,
+     "00010f6d616c666f726d6564206672616d65"},
+};
+
+TEST(NetLoopGolden, WireTranscriptMatchesConstants) {
+  const core::RandWave::Params p{.eps = 0.5, .window = 64, .c = 4};
+  distributed::CountParty party(p, 2, 77);
+  for (int i = 0; i < 150; ++i) party.observe((i % 3) != 1);
+  ServerConfig cfg;
+  cfg.generation = 1;
+  PartyServer server(cfg, &party);
+  ASSERT_TRUE(server.start());
+  RawConn c = RawConn::open(server.port());
+
+  std::vector<Frame> got;
+  Hello hello;
+  hello.client_id = 42;
+  got.push_back(c.exchange(MsgType::kHello, hello.encode()));
+
+  SnapshotRequest req;
+  req.request_id = 1;
+  req.role = PartyRole::kCount;
+  req.n = 64;
+  got.push_back(c.exchange(MsgType::kSnapshotRequest, req.encode()));
+
+  // The since_cursor of each delta request echoes the previous reply's
+  // cursor, exactly as a mirroring client does.
+  auto last_cursor = [&got] {
+    DeltaReply r;
+    EXPECT_TRUE(DeltaReply::decode(got.back().payload, r));
+    return r.cursor;
+  };
+  req.request_id = 2;
+  req.delta_capable = true;
+  req.since_cursor = 0;
+  got.push_back(c.exchange(MsgType::kSnapshotRequest, req.encode()));
+
+  for (int i = 0; i < 40; ++i) party.observe((i % 5) == 0);
+  req.request_id = 3;
+  req.since_cursor = last_cursor();
+  got.push_back(c.exchange(MsgType::kSnapshotRequest, req.encode()));
+
+  req.request_id = 4;
+  req.since_cursor = last_cursor();
+  got.push_back(c.exchange(MsgType::kSnapshotRequest, req.encode()));
+
+  SnapshotRequest wrong;
+  wrong.request_id = 5;
+  wrong.role = PartyRole::kDistinct;
+  wrong.n = 64;
+  got.push_back(c.exchange(MsgType::kSnapshotRequest, wrong.encode()));
+
+  SubscribeRequest sub;
+  sub.request_id = 6;
+  sub.role = PartyRole::kCount;
+  sub.n = 64;
+  sub.has_slack = true;
+  sub.slack = 1e18;  // never drifts: only the ack push arrives
+  sub.check_every_ms = 50;
+  got.push_back(c.exchange(MsgType::kSubscribe, sub.encode()));
+
+  std::array<std::uint8_t, kHeaderSize> bad{'J', 'U', 'N', 'K'};
+  ASSERT_TRUE(c.sock.send_all(bad.data(), bad.size(), soon()));
+  Frame err;
+  ASSERT_EQ(read_frame(c.sock, err, soon()), ReadStatus::kOk);
+  got.push_back(err);
+
+  ASSERT_EQ(got.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(kGolden[i].what);
+    EXPECT_EQ(got[i].type, kGolden[i].type);
+    EXPECT_EQ(to_hex(got[i].payload), kGolden[i].payload_hex);
+  }
+}
+
+// Live-server behaviors: handshake, query, subscribe ack.
+TEST(NetLoopServer, HelloQuerySubscribeAllServe) {
   distributed::CountParty party(params(), 3, 5);
   for (int i = 0; i < 2000; ++i) party.observe(i % 2 == 0);
-  ServerConfig cfg;
-  cfg.io_model = GetParam();
-  PartyServer server(cfg, &party);
+  PartyServer server(ServerConfig{}, &party);
   ASSERT_TRUE(server.start());
 
   RawConn c = RawConn::open(server.port());
@@ -349,8 +419,13 @@ TEST_P(NetLoopServer, HelloQuerySubscribeAllServe) {
   req.request_id = 1;
   req.role = PartyRole::kCount;
   req.n = 1024;
+  // No tag 1: answered with the self-contained full form.
   const Frame rep = c.exchange(MsgType::kSnapshotRequest, req.encode());
-  EXPECT_EQ(rep.type, MsgType::kCountReply);
+  ASSERT_EQ(rep.type, MsgType::kDeltaReply);
+  DeltaReply full;
+  ASSERT_TRUE(DeltaReply::decode(rep.payload, full));
+  EXPECT_EQ(full.base_cursor, 0u);
+  EXPECT_FALSE(full.body.empty());
 
   SubscribeRequest sub;
   sub.request_id = 2;
@@ -369,25 +444,19 @@ TEST_P(NetLoopServer, HelloQuerySubscribeAllServe) {
   // Back in request/reply mode.
   req.request_id = 4;
   const Frame rep2 = c.exchange(MsgType::kSnapshotRequest, req.encode());
-  EXPECT_EQ(rep2.type, MsgType::kCountReply);
+  ASSERT_EQ(rep2.type, MsgType::kDeltaReply);
+  ASSERT_TRUE(DeltaReply::decode(rep2.payload, full));
+  EXPECT_EQ(full.base_cursor, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Cores, NetLoopServer,
-                         ::testing::Values(IoModel::kThreads,
-                                           IoModel::kEpoll),
-                         [](const ::testing::TestParamInfo<IoModel>& p) {
-                           return std::string(io_model_name(p.param));
-                         });
-
 // ---------------------------------------------------------------------------
-// Slow loris: the epoll core must expire stalled partial frames via the
+// Slow loris: the event-loop core must expire stalled partial frames via the
 // deadline wheel without stalling any other session.
 
 TEST(NetLoopSlowLoris, StalledPartialHeaderExpiresOthersUnaffected) {
   distributed::CountParty party(params(), 3, 9);
   for (int i = 0; i < 1000; ++i) party.observe(true);
   ServerConfig cfg;
-  cfg.io_model = IoModel::kEpoll;
   cfg.io_deadline = std::chrono::milliseconds(200);
   PartyServer server(cfg, &party);
   ASSERT_TRUE(server.start());
@@ -411,7 +480,7 @@ TEST(NetLoopSlowLoris, StalledPartialHeaderExpiresOthersUnaffected) {
   while (Clock::now() < until) {
     req.request_id = static_cast<std::uint64_t>(served + 1);
     ASSERT_EQ(healthy.exchange(MsgType::kSnapshotRequest, req.encode()).type,
-              MsgType::kCountReply);
+              MsgType::kDeltaReply);
     ++served;
     std::this_thread::sleep_for(10ms);
   }
@@ -427,7 +496,6 @@ TEST(NetLoopSlowLoris, StalledPartialHeaderExpiresOthersUnaffected) {
 TEST(NetLoopSlowLoris, StalledPayloadExpiresToo) {
   distributed::CountParty party(params(), 3, 9);
   ServerConfig cfg;
-  cfg.io_model = IoModel::kEpoll;
   cfg.io_deadline = std::chrono::milliseconds(150);
   PartyServer server(cfg, &party);
   ASSERT_TRUE(server.start());

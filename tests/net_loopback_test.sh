@@ -49,17 +49,19 @@ COMMON=(--parties "$PARTIES" --eps 0.1 --window 4096 --instances 3
         --seed 99 --items 20000 --stream-seed 1 --density 0.2 --noise 0.05
         --value-space 65536 --skew 1.2 --max-value 1000)
 
-# start_daemons <role> [extra waved flags...]: launches $PARTIES waved
+# start_daemons <role>: launches $PARTIES waved
 # processes on ephemeral ports, waits for their READY lines, fills
 # $ENDPOINTS and $PIDS.
 start_daemons() {
   local role=$1 j log port
-  shift
   PIDS=()
   ENDPOINTS=""
   for ((j = 0; j < PARTIES; ++j)); do
     log="$TMP/waved_${role}_${j}.log"
-    "$WAVED" --role "$role" --party-id "$j" --port 0 "${COMMON[@]}" "$@" \
+    # Truncate here, not in the background child: a log left by an earlier
+    # leg must not be read for its stale READY port before the child runs.
+    : >"$log"
+    "$WAVED" --role "$role" --party-id "$j" --port 0 "${COMMON[@]}" \
       >"$log" 2>&1 &
     PIDS+=("$!")
   done
@@ -106,7 +108,7 @@ done
 # --- Keep-alive + delta steady state: 5 rounds over one client must ---
 # --- print 5 identical lines, matching --local, for both delta roles. ---
 # Round 1 bootstraps a full snapshot; rounds 2-5 ride the persistent
-# connection and the v3 delta/cache path, so this leg diffs the fast query
+# connection and the delta/cache path, so this leg diffs the fast query
 # path — not just the bootstrap fetch — against the in-process referee.
 ROUNDS=5
 for mode in count distinct; do
@@ -123,17 +125,6 @@ $(wc -l <"$TMP/net_ka_$mode.out")"
   diff -u "$TMP/local_ka_$mode.out" "$TMP/net_ka_$mode.out" >&2 ||
     fail "$mode: keep-alive rounds differ from the in-process answer"
   echo "KEEP-ALIVE $mode: $ROUNDS rounds identical"
-
-  # Degradation: a daemon with deltas disabled serves the same delta-
-  # capable client with v2 full replies — answers must not change.
-  stop_daemons
-  start_daemons "$mode" --delta off
-  "$WAVECLI" query --mode "$mode" --connect "$ENDPOINTS" "${COMMON[@]}" \
-    --rounds "$ROUNDS" >"$TMP/net_nodelta_$mode.out" ||
-    fail "multi-round $mode query against --delta off daemons exited $?"
-  diff -u "$TMP/local_ka_$mode.out" "$TMP/net_nodelta_$mode.out" >&2 ||
-    fail "$mode: --delta off daemons differ from the in-process answer"
-  echo "DELTA-OFF $mode: $ROUNDS rounds identical"
   stop_daemons
 done
 
@@ -210,9 +201,8 @@ wait "$pid" 2>/dev/null || true
 grep -q 'WAVED READY' "$log" &&
   fail "crash: party finished ingest before kill -9 — pacing too fast"
 
-# start_basic_with_state [extra flags...]: four basic daemons, party 0
-# restarting from the crashed state dir (differential replay), the rest
-# fresh. Extra flags (e.g. --io epoll) apply to every daemon.
+# start_basic_with_state: four basic daemons, party 0 restarting from the
+# crashed state dir (differential replay), the rest fresh.
 start_basic_with_state() {
   local j log port
   PIDS=()
@@ -221,8 +211,9 @@ start_basic_with_state() {
     log="$TMP/waved_recover_${j}.log"
     extra=()
     [[ $j -eq 0 ]] && extra=(--state-dir "$STATE/p0")
+    : >"$log"  # no stale READY line from an earlier leg (see start_daemons)
     "$WAVED" --role basic --party-id "$j" --port 0 "${COMMON[@]}" \
-      "${extra[@]}" "$@" >"$log" 2>&1 &
+      "${extra[@]}" >"$log" 2>&1 &
     PIDS+=("$!")
   done
   for ((j = 0; j < PARTIES; ++j)); do
@@ -290,29 +281,12 @@ diff -u "$TMP/local_count.out" "$TMP/healed.out" >&2 ||
 echo "FAULTS count: partition fails closed (rc=4), parity after healing"
 stop_daemons
 
-# --- I/O core differential: the same deployment served by --io threads ---
-# --- and --io epoll must answer byte-identically to the in-process ---
-# --- referee (and therefore to each other), and the READY line must ---
-# --- advertise the selected core. ---
-for io in threads epoll; do
-  start_daemons count --io "$io"
-  grep -q "WAVED READY .*io=$io" "$TMP/waved_count_0.log" ||
-    fail "READY line does not advertise io=$io: \
-$(grep READY "$TMP/waved_count_0.log")"
-  "$WAVECLI" query --mode count --connect "$ENDPOINTS" "${COMMON[@]}" \
-    >"$TMP/io_$io.out" || fail "count query against --io $io daemons exited $?"
-  diff -u "$TMP/local_count.out" "$TMP/io_$io.out" >&2 ||
-    fail "--io $io daemons differ from the in-process answer"
-  stop_daemons
-done
-echo "IO-CORES count: threads == epoll == local"
-
-# --- kill -9 an --io epoll daemon mid-ingest; the restarted epoll ---
+# --- kill -9 a paced daemon mid-ingest; the restarted ---
 # --- deployment recovers from its checkpoint with parity intact. ---
 rm -rf "$STATE/p0"
 log="$TMP/io_crash.log"
 "$WAVED" --role basic --party-id 0 "${COMMON[@]}" --state-dir "$STATE/p0" \
-  --io epoll --ingest-chunk 1000 --ingest-delay-ms 100 \
+  --ingest-chunk 1000 --ingest-delay-ms 100 \
   --checkpoint-every-items 2000 >"$log" 2>&1 &
 pid=$!
 for _ in $(seq 1 200); do
@@ -320,17 +294,17 @@ for _ in $(seq 1 200); do
   sleep 0.05
 done
 [[ -s "$STATE/p0/checkpoint.bin" ]] ||
-  fail "io-epoll crash: no mid-ingest checkpoint"
+  fail "io crash: no mid-ingest checkpoint"
 kill -9 "$pid" 2>/dev/null || true
 wait "$pid" 2>/dev/null || true
-start_basic_with_state --io epoll
+start_basic_with_state
 grep -q 'WAVED RESTORED' "$TMP/waved_recover_0.log" ||
-  fail "restarted --io epoll party 0 did not restore its checkpoint"
+  fail "restarted party 0 did not restore its checkpoint"
 "$WAVECLI" query --mode basic --connect "$ENDPOINTS" "${COMMON[@]}" \
-  >"$TMP/io_recovered.out" || fail "recovered --io epoll query exited $?"
+  >"$TMP/io_recovered.out" || fail "recovered query exited $?"
 diff -u "$TMP/local_basic.out" "$TMP/io_recovered.out" >&2 ||
-  fail "recovered --io epoll deployment differs from the in-process answer"
-echo "IO-CRASH epoll: kill -9 -> restart -> parity holds"
+  fail "recovered deployment differs from the in-process answer"
+echo "IO-CRASH: kill -9 -> restart -> parity holds"
 stop_daemons
 
 # --- Continuous monitoring: hub + watcher parity, kill -9 epoch resync. ---

@@ -51,7 +51,7 @@ Pair make_pair_() {
 TEST(NetFrame, HeaderRoundTrip) {
   for (const MsgType t :
        {MsgType::kHello, MsgType::kHelloAck, MsgType::kSnapshotRequest,
-        MsgType::kCountReply, MsgType::kDistinctReply, MsgType::kTotalReply,
+        MsgType::kDeltaReply, MsgType::kTotalReply, MsgType::kAggReply,
         MsgType::kErr}) {
     const auto h = put_header(t, 12345);
     MsgType type{};
@@ -165,20 +165,21 @@ TEST(NetProtocol, StructsRoundTrip) {
     EXPECT_EQ(out.n, 2048u);
   }
   {
-    CountReply in;
+    DeltaReply in;
     in.request_id = 9;
-    in.snapshots.resize(2);
-    in.snapshots[0].level = 3;
-    in.snapshots[0].stream_len = 500;
-    in.snapshots[0].positions = {400, 410, 499};
-    in.snapshots[1].level = 1;
-    in.snapshots[1].stream_len = 500;
-    CountReply out;
-    ASSERT_TRUE(CountReply::decode(in.encode(), out));
+    in.generation = 2;
+    in.role = PartyRole::kDistinct;
+    in.base_cursor = 4;
+    in.cursor = 5;
+    in.body = {1, 2, 3, 0xff};
+    DeltaReply out;
+    ASSERT_TRUE(DeltaReply::decode(in.encode(), out));
     EXPECT_EQ(out.request_id, 9u);
-    ASSERT_EQ(out.snapshots.size(), 2u);
-    EXPECT_EQ(out.snapshots[0].positions, in.snapshots[0].positions);
-    EXPECT_EQ(out.snapshots[1].level, 1);
+    EXPECT_EQ(out.generation, 2u);
+    EXPECT_EQ(out.role, PartyRole::kDistinct);
+    EXPECT_EQ(out.base_cursor, 4u);
+    EXPECT_EQ(out.cursor, 5u);
+    EXPECT_EQ(out.body, in.body);
   }
   {
     TotalReply in{11, 3, 1234.5625, true, 9999};
@@ -226,10 +227,8 @@ TEST(NetProtocol, TruncationAndGarbageRejectedNoPartialOutput) {
     (void)TotalReply::decode(noise, total);
     ErrReply err;
     (void)ErrReply::decode(noise, err);
-    CountReply count;
-    (void)CountReply::decode(noise, count);
-    DistinctReply distinct;
-    (void)DistinctReply::decode(noise, distinct);
+    DeltaReply delta;
+    (void)DeltaReply::decode(noise, delta);
   }
 }
 
@@ -841,6 +840,38 @@ TEST(NetClient, SilentServerHitsDeadlineNotHang) {
 #if WAVES_OBS_ENABLED
   EXPECT_GE(cobs.timeouts.value(), timeouts_before + 2);
 #endif
+}
+
+TEST(NetClient, RetiredSnapshotReplyTypesAreProtocolErrors) {
+  // Frame types 4 and 5 (the retired v2 count/distinct snapshot replies)
+  // still parse at the header, but a count/distinct fetch answered with
+  // one is an unexpected reply: terminal protocol error, no retry.
+  for (const std::uint8_t retired : {std::uint8_t{4}, std::uint8_t{5}}) {
+    const PartyRole role =
+        retired == 4 ? PartyRole::kCount : PartyRole::kDistinct;
+    Listener l;
+    ASSERT_TRUE(l.listen_on("127.0.0.1", 0));
+    std::jthread party([&l, retired, role] {
+      Socket s = l.accept_one(soon());
+      if (!s.valid()) return;
+      Frame f;
+      if (read_frame(s, f, soon()) != ReadStatus::kOk) return;
+      HelloAck ack{role, 0, static_cast<std::uint64_t>(kInstances), kWindow,
+                   0};
+      if (!write_frame(s, MsgType::kHelloAck, ack.encode(), soon())) return;
+      if (read_frame(s, f, soon()) != ReadStatus::kOk) return;
+      (void)write_frame(s, static_cast<MsgType>(retired), Bytes{1, 0},
+                        soon());
+      // Hold the socket until the client drops it.
+      (void)read_frame(s, f, soon());
+    });
+    RefereeClient client({{"127.0.0.1", l.port()}}, ClientConfig{});
+    const Fetch f = client.fetch(0, role, kWindow);
+    EXPECT_EQ(f.status, FetchStatus::kProtocolError) << int{retired};
+    EXPECT_EQ(f.attempts, 1) << int{retired};
+    EXPECT_NE(f.error.find("unexpected reply type"), std::string::npos)
+        << f.error;
+  }
 }
 
 TEST(NetMetrics, ScrapeLiveServer) {

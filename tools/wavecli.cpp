@@ -16,8 +16,7 @@
 //                    [--stream-seed S2] [--density D] [--noise X]
 //                    [--value-space V] [--skew Z] [--max-value R]
 //                    [--deadline-ms MS] [--attempts A]
-//                    [--rounds K] [--delta on|off]
-//                    [--trace] [--flight-recorder]
+//                    [--rounds K] [--trace] [--flight-recorder]
 //   wavecli hub      --connect host:port,... --mode count|distinct|basic|sum
 //                    [--eps E] [--window N] [--n W] [--parties T]
 //                    [--instances K] [--seed S] [--value-space V]
@@ -66,9 +65,9 @@
 // without any networking. Both print the same "<status>\t<estimate>" line
 // (%.17g), so a loopback deployment is validated by literal string
 // comparison. --rounds K repeats the query K times over the same client —
-// round 2+ of a --connect run rides the keep-alive socket and (with
-// --delta on, the default) the v3 delta path, so diffing K rounds against
-// --local validates the fast query path, not just the bootstrap fetch.
+// round 2+ of a --connect run rides the keep-alive socket and the delta
+// path, so diffing K rounds against --local validates the fast query path,
+// not just the bootstrap fetch.
 // Degraded Scenario-1 answers append missing=K slack=S; failed queries
 // (union/distinct under partial quorum) print the typed error to stderr
 // and exit 4.
@@ -151,7 +150,6 @@ struct Options {
   std::uint64_t value_space = 1u << 16;
   double skew = 1.2;
   int rounds = 1;
-  bool delta = true;
   bool trace = false;
   bool flight = false;
   std::string aggop = "sum";  // query --mode agg only
@@ -161,7 +159,6 @@ struct Options {
   std::uint64_t max_watchers = 64;
   std::uint16_t port = 0;
   std::string hub_host = "127.0.0.1";
-  waves::net::IoModel io_model = waves::net::default_io_model();
   double serve_seconds = 0.0;  // 0: until signaled
   std::uint64_t updates = 0;   // watch: exit after K updates (0 = forever)
   // fleet mode:
@@ -187,7 +184,7 @@ int usage() {
                "[--stream-seed S2]\n               [--density D] [--noise "
                "X] [--value-space V] [--skew Z]\n               "
                "[--max-value R] [--deadline-ms MS] [--attempts A]\n"
-               "               [--rounds K] [--delta on|off] [--trace] "
+               "               [--rounds K] [--trace] "
                "[--flight-recorder]\n       wavecli top --connect "
                "host:port,... [--deadline-ms MS]\n"
                "       wavecli hub --connect host:port,... "
@@ -197,7 +194,6 @@ int usage() {
                "               [--max-value R] [--split uniform|boosted]\n"
                "               [--check-ms MS] [--port P] [--hub-host H]\n"
                "               [--max-watchers K] [--serve-seconds SEC]\n"
-               "               [--io epoll|threads]\n"
                "       wavecli watch --connect host:port [--mode M] "
                "[--window N]\n"
                "               [--n W] [--updates K] [--deadline-ms MS]\n"
@@ -287,10 +283,6 @@ std::optional<Options> parse(int argc, char** argv) {
       o.skew = std::atof(val);
     } else if (flag == "--rounds") {
       o.rounds = std::atoi(val);
-    } else if (flag == "--delta") {
-      const std::string v = val;
-      if (v != "on" && v != "off") return std::nullopt;
-      o.delta = v == "on";
     } else if (flag == "--split") {
       o.split = val;
     } else if (flag == "--check-ms") {
@@ -301,8 +293,6 @@ std::optional<Options> parse(int argc, char** argv) {
       o.port = static_cast<std::uint16_t>(std::strtoul(val, nullptr, 10));
     } else if (flag == "--hub-host") {
       o.hub_host = val;
-    } else if (flag == "--io") {
-      if (!waves::net::parse_io_model(val, o.io_model)) return std::nullopt;
     } else if (flag == "--serve-seconds") {
       o.serve_seconds = std::atof(val);
     } else if (flag == "--updates") {
@@ -750,7 +740,6 @@ int run_query(const Options& o) {
   net::ClientConfig ccfg;
   ccfg.request_deadline = std::chrono::milliseconds(o.deadline_ms);
   ccfg.max_attempts = o.attempts;
-  ccfg.delta_snapshots = o.delta;
 
   if (o.qmode == "count") {
     net::NetworkCountSource source(endpoints,
@@ -822,7 +811,6 @@ int run_hub(const Options& o) {
   cfg.host = o.hub_host;
   cfg.port = o.port;
   cfg.max_watchers = static_cast<std::size_t>(o.max_watchers);
-  cfg.io_model = o.io_model;
   cfg.count_params = tools::count_params(o.eps_raw, o.window);
   cfg.distinct_params =
       tools::distinct_params(o.eps_raw, o.window, o.value_space, o.parties);
@@ -844,7 +832,7 @@ int run_hub(const Options& o) {
   std::printf("HUB READY port=%u parties=%zu role=%s eps=%.17g split=%s "
               "io=%s\n",
               hub.watch_port(), endpoints.size(), o.qmode.c_str(), o.eps_raw,
-              o.split.c_str(), net::io_model_name(o.io_model));
+              o.split.c_str(), net::io_model_name(net::default_io_model()));
   std::fflush(stdout);
   const auto t0 = std::chrono::steady_clock::now();
   while (g_hub_stop == 0) {

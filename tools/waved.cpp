@@ -14,8 +14,6 @@
 //         [--ingest-delay-ms MS] pause between chunks (crash-test pacing)
 //         [--serve-seconds SEC] exit after SEC seconds (default: run until
 //                               SIGINT/SIGTERM)
-//         [--delta on|off]      answer v3 delta snapshot requests
-//                               (default on; off forces full v2 replies)
 //         [--push on|off]       accept kSubscribe push legs (default on;
 //                               off rejects subscriptions with kBadRequest)
 //         [--push-check-ms MS]  default drift-check cadence for
@@ -89,11 +87,9 @@ struct Options {
   std::uint64_t checkpoint_every = 0;  // 0: only at ingest end / drain
   std::uint64_t ingest_chunk = 0;      // 0: one batch
   std::uint64_t ingest_delay_ms = 0;
-  bool delta = true;
   bool push = true;
   std::uint64_t push_check_ms = 25;
   std::uint64_t max_conns = 64;
-  waves::net::IoModel io_model = waves::net::default_io_model();
   waves::tools::FeedSpec feed;
 };
 
@@ -110,8 +106,7 @@ int usage() {
       "             [--max-value R] [--state-dir DIR]\n"
       "             [--checkpoint-every-items N] [--ingest-chunk N]\n"
       "             [--ingest-delay-ms MS] [--serve-seconds SEC]\n"
-      "             [--delta on|off] [--push on|off] [--push-check-ms MS]\n"
-      "             [--max-conns K] [--io epoll|threads]\n");
+      "             [--push on|off] [--push-check-ms MS] [--max-conns K]\n");
   return 2;
 }
 
@@ -167,10 +162,6 @@ std::optional<Options> parse(int argc, char** argv) {
       o.ingest_delay_ms = std::strtoull(val, nullptr, 10);
     } else if (flag == "--serve-seconds") {
       o.serve_seconds = std::atof(val);
-    } else if (flag == "--delta") {
-      const std::string v = val;
-      if (v != "on" && v != "off") return std::nullopt;
-      o.delta = v == "on";
     } else if (flag == "--push") {
       const std::string v = val;
       if (v != "on" && v != "off") return std::nullopt;
@@ -179,8 +170,6 @@ std::optional<Options> parse(int argc, char** argv) {
       o.push_check_ms = std::strtoull(val, nullptr, 10);
     } else if (flag == "--max-conns") {
       o.max_conns = std::strtoull(val, nullptr, 10);
-    } else if (flag == "--io") {
-      if (!waves::net::parse_io_model(val, o.io_model)) return std::nullopt;
     } else {
       return std::nullopt;
     }
@@ -304,7 +293,7 @@ int serve(const Options& o, waves::net::PartyServer& server,
               o.role.c_str(), o.party_id, server.port(),
               static_cast<unsigned long long>(items),
               static_cast<unsigned long long>(generation),
-              waves::net::io_model_name(o.io_model));
+              waves::net::io_model_name(waves::net::default_io_model()));
   std::fflush(stdout);
 
   const auto t0 = std::chrono::steady_clock::now();
@@ -405,7 +394,6 @@ int main(int argc, char** argv) {
   cfg.host = o.host;
   cfg.port = o.port;
   cfg.party_id = static_cast<std::uint64_t>(o.party_id);
-  cfg.enable_delta = o.delta;
   cfg.enable_push = o.push;
   if (o.push_check_ms > 0) {
     cfg.push_check = std::chrono::milliseconds(o.push_check_ms);
@@ -413,7 +401,6 @@ int main(int argc, char** argv) {
   if (o.max_conns > 0) {
     cfg.max_connections = static_cast<std::size_t>(o.max_conns);
   }
-  cfg.io_model = o.io_model;
 
   if (o.role == "count") {
     distributed::CountParty party(tools::count_params(o.eps, o.window),
