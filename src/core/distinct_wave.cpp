@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/bitops.hpp"
 
@@ -202,31 +201,51 @@ void DistinctWave::restore(const DistinctWaveCheckpoint& ck) {
 }
 
 Estimate referee_distinct_count(
-    std::span<const DistinctSnapshot> snapshots, std::uint64_t n,
+    std::span<const DistinctSnapshot* const> snapshots, std::uint64_t n,
     const gf2::ExpHash& hash,
-    const std::function<bool(std::uint64_t)>& predicate) {
+    const std::function<bool(std::uint64_t)>& predicate,
+    UnionScratch& scratch) {
   assert(!snapshots.empty());
-  const std::uint64_t pos = snapshots.front().stream_len;
-  for (const auto& s : snapshots) {
-    assert(s.stream_len == pos && "aligned streams required");
-    (void)s;
+  const std::uint64_t pos = snapshots.front()->stream_len;
+  for (const DistinctSnapshot* snap : snapshots) {
+    assert(snap->stream_len == pos && "aligned streams required");
+    (void)snap;
   }
   const std::uint64_t s = pos > n ? pos - n + 1 : 1;
 
   int lstar = 0;
-  for (const auto& snap : snapshots) lstar = std::max(lstar, snap.level);
+  for (const DistinctSnapshot* snap : snapshots) {
+    lstar = std::max(lstar, snap->level);
+  }
 
-  std::unordered_set<std::uint64_t> uni;
-  for (const auto& snap : snapshots) {
-    for (const auto& [value, p] : snap.items) {
+  // Level l holds only values with h(value) >= l, so the hash filter runs
+  // only below l*. The union is the distinct values kept: sort + unique.
+  std::vector<std::uint64_t>& kept = scratch.values;
+  kept.clear();
+  for (const DistinctSnapshot* snap : snapshots) {
+    const bool below = snap->level < lstar;
+    for (const auto& [value, p] : snap->items) {
       if (p < s) continue;
-      if (hash.level(value) < lstar) continue;
+      if (below && hash.level(value) < lstar) continue;
       if (predicate && !predicate(value)) continue;
-      uni.insert(value);
+      kept.push_back(value);
     }
   }
-  return Estimate{std::ldexp(static_cast<double>(uni.size()), lstar), false,
-                  n};
+  std::sort(kept.begin(), kept.end());
+  const auto count = static_cast<std::size_t>(
+      std::unique(kept.begin(), kept.end()) - kept.begin());
+  return Estimate{std::ldexp(static_cast<double>(count), lstar), false, n};
+}
+
+Estimate referee_distinct_count(
+    std::span<const DistinctSnapshot> snapshots, std::uint64_t n,
+    const gf2::ExpHash& hash,
+    const std::function<bool(std::uint64_t)>& predicate) {
+  std::vector<const DistinctSnapshot*> views;
+  views.reserve(snapshots.size());
+  for (const DistinctSnapshot& snap : snapshots) views.push_back(&snap);
+  UnionScratch scratch;
+  return referee_distinct_count(views, n, hash, predicate, scratch);
 }
 
 }  // namespace waves::core

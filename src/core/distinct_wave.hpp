@@ -7,7 +7,8 @@
 // re-arrival (expected O(1) work, since a value lives in an expected < 2
 // levels, located via a per-level value->node hash map). Level l keeps the
 // c/eps^2 values with the most recent positions. The Referee computes the
-// levelwise union and scales by 2^l*. The stored sample is a uniform sample
+// levelwise union and scales by 2^l* (as in rand_wave.hpp, only queues
+// below l* need the hash filter). The stored sample is a uniform sample
 // of the distinct values in the window, so predicate queries (Sec. 5,
 // "Handling Predicates") are answered by filtering the union before
 // scaling.
@@ -137,6 +138,15 @@ void snapshot_from_checkpoint_into(const DistinctWaveCheckpoint& ck,
 /// Referee half: levelwise union scaled by 2^l*. `predicate`, when set,
 /// restricts the count to values satisfying it (selectivity-alpha queries
 /// need queues of size c/(alpha eps^2); see extensions/predicate_sample).
+/// The snapshots are read in place and `scratch` is the only memory the
+/// union writes.
+[[nodiscard]] Estimate referee_distinct_count(
+    std::span<const DistinctSnapshot* const> snapshots, std::uint64_t n,
+    const gf2::ExpHash& hash,
+    const std::function<bool(std::uint64_t)>& predicate,
+    UnionScratch& scratch);
+
+/// Same, over a contiguous array of snapshots with a throwaway scratch.
 [[nodiscard]] Estimate referee_distinct_count(
     std::span<const DistinctSnapshot> snapshots, std::uint64_t n,
     const gf2::ExpHash& hash,

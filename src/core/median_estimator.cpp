@@ -14,7 +14,9 @@ int instances_for_delta(double delta) {
   return m;
 }
 
-double median(std::vector<double> values) {
+double median(std::vector<double> values) { return median_in_place(values); }
+
+double median_in_place(std::span<double> values) {
   assert(!values.empty());
   const std::size_t mid = values.size() / 2;
   std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid),

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/rand_wave.hpp"
@@ -24,6 +25,9 @@ namespace waves::core {
 
 /// Median of a non-empty vector (averages the middle pair for even sizes).
 [[nodiscard]] double median(std::vector<double> values);
+
+/// Same, reordering `values` in place instead of taking a copy.
+[[nodiscard]] double median_in_place(std::span<double> values);
 
 /// Single-party (eps, delta) Basic Counting over a sliding window: m
 /// independent randomized waves, estimates combined by median. Distributed

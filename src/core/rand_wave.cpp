@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_set>
 
 #include "util/bitops.hpp"
 #include "util/simd.hpp"
@@ -40,6 +39,25 @@ std::size_t queue_cap(double eps, std::uint64_t c) {
 [[maybe_unused]] int dim_for_window(std::uint64_t window) {
   const std::uint64_t np = util::next_pow2_at_least(window < 1 ? 2 : 2 * window);
   return util::floor_log2(np);
+}
+
+// Terminates every run the union merge reads.
+constexpr std::uint64_t kUnionEnd = ~std::uint64_t{0};
+
+/// Size of the union of the strictly ascending runs that `heads` point at,
+/// each terminated by kUnionEnd: one step per distinct value. Each step
+/// takes the smallest head, then advances every run whose head equals it.
+/// A finished run rests on its kUnionEnd, which loses every min, so no
+/// step branches on which run won.
+std::size_t union_size(std::span<const std::uint64_t*> heads) {
+  std::size_t count = 0;
+  for (;;) {
+    std::uint64_t m = kUnionEnd;
+    for (const std::uint64_t* h : heads) m = std::min(m, *h);
+    if (m == kUnionEnd) return count;
+    ++count;
+    for (const std::uint64_t*& h : heads) h += *h == m ? 1 : 0;
+  }
 }
 
 }  // namespace
@@ -241,27 +259,70 @@ void RandWave::restore(const RandWaveCheckpoint& ck) {
   ++change_cursor_;
 }
 
-Estimate referee_union_count(std::span<const RandWaveSnapshot> snapshots,
-                             std::uint64_t n, const gf2::ExpHash& hash) {
+Estimate referee_union_count(std::span<const RandWaveSnapshot* const> snapshots,
+                             std::uint64_t n, const gf2::ExpHash& hash,
+                             UnionScratch& scratch) {
   assert(!snapshots.empty());
-  const std::uint64_t pos = snapshots.front().stream_len;
-  for (const auto& s : snapshots) {
-    assert(s.stream_len == pos && "positionwise union needs aligned streams");
-    (void)s;
+  const std::uint64_t pos = snapshots.front()->stream_len;
+  for (const RandWaveSnapshot* snap : snapshots) {
+    assert(snap->stream_len == pos && "positionwise union needs aligned streams");
+    (void)snap;
   }
   const std::uint64_t s = pos > n ? pos - n + 1 : 1;
 
   int lstar = 0;
-  for (const auto& snap : snapshots) lstar = std::max(lstar, snap.level);
-
-  std::unordered_set<std::uint64_t> uni;
-  for (const auto& snap : snapshots) {
-    for (std::uint64_t p : snap.positions) {
-      if (p >= s && hash.level(p) >= lstar) uni.insert(p);
-    }
+  for (const RandWaveSnapshot* snap : snapshots) {
+    lstar = std::max(lstar, snap->level);
   }
-  return Estimate{std::ldexp(static_cast<double>(uni.size()), lstar), false,
-                  n};
+
+  // A level-l_j queue holds exactly the positions with h(p) >= l_j, so at
+  // l_j == l* the window cut alone is the Fig. 6 filter; queues below l*
+  // also go through the hash. Each run lands in `values` with a kUnionEnd
+  // terminator; reserving the worst case up front keeps the heads' pointers
+  // into it valid. A position equal to kUnionEnd can only end its run
+  // (runs ascend strictly), so it is counted apart instead.
+  std::size_t most = snapshots.size();
+  for (const RandWaveSnapshot* snap : snapshots) {
+    most += snap->positions.size();
+  }
+  std::vector<std::uint64_t>& values = scratch.values;
+  values.clear();
+  values.reserve(most);
+  scratch.heads.clear();
+  bool has_end_value = false;
+  for (const RandWaveSnapshot* snap : snapshots) {
+    const std::uint64_t* last =
+        snap->positions.data() + snap->positions.size();
+    const std::uint64_t* first =
+        std::lower_bound(snap->positions.data(), last, s);
+    const std::size_t start = values.size();
+    if (snap->level < lstar) {
+      for (; first != last; ++first) {
+        if (hash.level(*first) >= lstar) values.push_back(*first);
+      }
+    } else {
+      values.insert(values.end(), first, last);
+    }
+    if (values.size() > start && values.back() == kUnionEnd) {
+      has_end_value = true;
+      values.pop_back();
+    }
+    if (values.size() == start) continue;
+    values.push_back(kUnionEnd);
+    scratch.heads.push_back(values.data() + start);
+  }
+  const std::size_t count =
+      union_size(scratch.heads) + (has_end_value ? 1 : 0);
+  return Estimate{std::ldexp(static_cast<double>(count), lstar), false, n};
+}
+
+Estimate referee_union_count(std::span<const RandWaveSnapshot> snapshots,
+                             std::uint64_t n, const gf2::ExpHash& hash) {
+  std::vector<const RandWaveSnapshot*> views;
+  views.reserve(snapshots.size());
+  for (const RandWaveSnapshot& snap : snapshots) views.push_back(&snap);
+  UnionScratch scratch;
+  return referee_union_count(views, n, hash, scratch);
 }
 
 }  // namespace waves::core

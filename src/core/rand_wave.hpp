@@ -7,11 +7,13 @@
 // selected positions in a circular queue. A query for window [s, pos] takes,
 // per party, the smallest level l_j whose queue still covers the window
 // (range semantics tracked via the largest capacity-evicted position); the
-// Referee forms l* = max_j l_j, re-filters every queue to positions >= s
-// with h(p) >= l*, unions them, and scales by 2^l*. Lemma 2/3: the result
-// is within eps of the union count with probability > 2/3, independent of
-// the number of parties; the median of O(log 1/delta) independent instances
-// gives the (eps, delta) scheme (core/median_estimator).
+// Referee forms l* = max_j l_j, keeps each queue's positions >= s with
+// h(p) >= l*, unions them, and scales by 2^l*. A level-l queue holds only
+// positions with h(p) >= l, so only queues below l* need the hash filter,
+// and since every queue ascends the union is a t-way merge. Lemma 2/3: the
+// result is within eps of the union count with probability > 2/3,
+// independent of the number of parties; the median of O(log 1/delta)
+// independent instances gives the (eps, delta) scheme (core/median_estimator).
 #pragma once
 
 #include <cstdint>
@@ -141,7 +143,15 @@ void snapshot_from_checkpoint_into(const RandWaveCheckpoint& ck,
 
 /// Referee half of the protocol (Fig. 6 steps 2-3): snapshots from t
 /// parties with equal stream lengths, window of n items, and the shared
-/// hash. Returns 2^l* * |union of filtered queues|.
+/// hash. Returns 2^l* * |union of filtered queues|. Each snapshot's
+/// positions must ascend strictly, as every wave and wire decoder yields
+/// them; the snapshots are read in place and `scratch` is the only memory
+/// the merge writes.
+[[nodiscard]] Estimate referee_union_count(
+    std::span<const RandWaveSnapshot* const> snapshots, std::uint64_t n,
+    const gf2::ExpHash& hash, UnionScratch& scratch);
+
+/// Same, over a contiguous array of snapshots with a throwaway scratch.
 [[nodiscard]] Estimate referee_union_count(
     std::span<const RandWaveSnapshot> snapshots, std::uint64_t n,
     const gf2::ExpHash& hash);

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "util/level_pool.hpp"
 
@@ -15,6 +16,14 @@ struct Estimate {
   double value = 0.0;
   bool exact = false;
   std::uint64_t window = 0;
+};
+
+/// Caller-kept buffers for the referee combines (referee_union_count,
+/// referee_distinct_count). They carry only capacity from one call to the
+/// next, so a steady-state combine allocates nothing.
+struct UnionScratch {
+  std::vector<std::uint64_t> values;
+  std::vector<const std::uint64_t*> heads;
 };
 
 /// Fig. 4/5 step 2, unified: pop every pool entry whose position has left

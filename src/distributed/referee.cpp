@@ -1,9 +1,9 @@
 #include "distributed/referee.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <thread>
+#include <list>
+#include <mutex>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,33 +16,47 @@ namespace waves::distributed {
 
 namespace {
 
-// Per-protocol/transport instruments. The span tracer keeps the per-round
-// story (parties contacted, messages, encoded bytes, decode failures,
-// latency); these aggregate across rounds. Registration is a mutexed name
-// lookup — fine on the cold query path.
-struct RoundMetrics {
+// Per-protocol/transport instruments and round span name. The span tracer
+// keeps the per-round story (parties contacted, messages, encoded bytes,
+// decode failures, latency); these aggregate across rounds. Each pair is
+// built on first use and kept for the process (a handful exist), so a
+// round formats no names and makes no registry lookups.
+struct RoundObs {
+  std::string protocol;
+  std::string transport;
+  // referee.union_count / referee.union_count_wire / ...: the names from
+  // before the SnapshotSource refactor, with a suffix for every transport
+  // but "direct".
+  std::string span_name;
   const obs::Counter& rounds;
   const obs::Counter& messages;
   const obs::Histogram& bytes_h;
   const obs::Histogram& seconds_h;
-  // Worker-threads used by the parallel combine, summed over rounds;
-  // divided by rounds_total it reads as average combine parallelism.
-  const obs::Counter& combine_workers;
-
-  static RoundMetrics make(const std::string& labels) {
-    obs::Registry& reg = obs::Registry::instance();
-    return RoundMetrics{
-        reg.counter("waves_referee_rounds_total", labels),
-        reg.counter("waves_referee_messages_total", labels),
-        reg.histogram("waves_referee_round_bytes", labels,
-                      obs::bytes_buckets()),
-        reg.histogram("waves_referee_round_seconds", labels,
-                      obs::latency_buckets()),
-        reg.counter("waves_referee_combine_workers_total", labels)};
-  }
 };
 
-void finish_round(const RoundMetrics& m, obs::Span& span, std::size_t parties,
+const RoundObs& round_obs(std::string_view protocol, std::string_view span_base,
+                          std::string_view transport) {
+  static std::mutex mu;
+  static std::list<RoundObs> made;  // a list: references stay put
+  std::lock_guard lk(mu);
+  for (const RoundObs& o : made) {
+    if (o.protocol == protocol && o.transport == transport) return o;
+  }
+  const std::string labels = "protocol=\"" + std::string(protocol) +
+                             "\",transport=\"" + std::string(transport) + "\"";
+  std::string span_name(span_base);
+  if (transport != "direct") span_name += "_" + std::string(transport);
+  obs::Registry& reg = obs::Registry::instance();
+  return made.emplace_back(RoundObs{
+      std::string(protocol), std::string(transport), std::move(span_name),
+      reg.counter("waves_referee_rounds_total", labels),
+      reg.counter("waves_referee_messages_total", labels),
+      reg.histogram("waves_referee_round_bytes", labels, obs::bytes_buckets()),
+      reg.histogram("waves_referee_round_seconds", labels,
+                    obs::latency_buckets())});
+}
+
+void finish_round(const RoundObs& m, obs::Span& span, std::size_t parties,
                   const CollectStats& info) {
   span.set("parties", static_cast<double>(parties));
   span.set("messages", static_cast<double>(info.messages));
@@ -55,14 +69,6 @@ void finish_round(const RoundMetrics& m, obs::Span& span, std::size_t parties,
   m.seconds_h.observe(dt);
 }
 
-// Span names stay what they were before the SnapshotSource refactor:
-// referee.union_count / referee.union_count_wire / ...; tcp rounds get
-// their own _tcp suffix.
-std::string span_suffix(const char* transport) {
-  return std::string(transport) == "direct" ? std::string{}
-                                            : "_" + std::string(transport);
-}
-
 std::string quorum_error(const char* protocol,
                          const std::vector<std::size_t>& missing) {
   std::string msg = std::string(protocol) +
@@ -71,54 +77,67 @@ std::string quorum_error(const char* protocol,
   return msg;
 }
 
-// Worker count for the parallel combine: instances are independent, so up
-// to 4 threads split them. Below 4 instances the spawn cost outweighs the
-// work and the loop runs inline.
-int combine_workers(int m) {
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int cap = static_cast<int>(std::max(1u, hw));
-  return std::min({4, m >= 4 ? m : 1, cap});
+// Fig. 6 steps 2-3 / Sec. 5 levelwise union, per instance, then the
+// median over instances — identical for every transport. Each instance's
+// combine sees a view of the parties' snapshots where collect left them.
+template <class Snapshot, class Combine>
+core::Estimate combine_median(RoundBuffers<Snapshot>& buf, int m,
+                              std::uint64_t n, Combine&& combine) {
+  buf.instance.resize(buf.by_party.size());
+  buf.per_instance.resize(static_cast<std::size_t>(m));
+  for (int i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < buf.by_party.size(); ++j) {
+      buf.instance[j] = &buf.by_party[j][static_cast<std::size_t>(i)];
+    }
+    buf.per_instance[static_cast<std::size_t>(i)] =
+        combine(std::span<const Snapshot* const>(buf.instance), i);
+  }
+  return core::Estimate{core::median_in_place(buf.per_instance), false, n};
 }
 
-// Fig. 6 steps 2-3 / Sec. 5 levelwise union, per instance, then the
-// median over instances — identical for every transport. Instances touch
-// disjoint per_instance slots and only read by_party and the (stateless,
-// const) combine inputs, so they parallelize over a small worker pool; slot
-// i always holds instance i's value, keeping the median deterministic
-// regardless of scheduling.
-template <class Snapshot, class Combine>
-core::Estimate combine_median(
-    const std::vector<std::vector<Snapshot>>& by_party, int m,
-    std::uint64_t n, int workers, Combine&& combine) {
-  std::vector<double> per_instance(static_cast<std::size_t>(m), 0.0);
-  auto run = [&](std::vector<Snapshot>& inst, int i) {
-    for (std::size_t j = 0; j < by_party.size(); ++j) {
-      inst[j] = by_party[j][static_cast<std::size_t>(i)];
-    }
-    per_instance[static_cast<std::size_t>(i)] = combine(inst, i);
-  };
-  if (workers <= 1) {
-    std::vector<Snapshot> inst(by_party.size());
-    for (int i = 0; i < m; ++i) run(inst, i);
-  } else {
-    std::atomic<int> next{0};
-    std::vector<std::jthread> pool;
-    pool.reserve(static_cast<std::size_t>(workers));
-    for (int w = 0; w < workers; ++w) {
-      pool.emplace_back([&] {
-        std::vector<Snapshot> inst(by_party.size());
-        for (int i = next.fetch_add(1, std::memory_order_relaxed); i < m;
-             i = next.fetch_add(1, std::memory_order_relaxed)) {
-          run(inst, i);
-        }
-      });
-    }
-    pool.clear();  // join
-  }
-  return core::Estimate{core::median(std::move(per_instance)), false, n};
+// The caller's buffers on their way from the default collect_into, through
+// a decorator's by-value collect, to the default collect of the source it
+// wraps. Per thread, because that whole path runs on the calling thread.
+// A decorator that never reaches a default collect leaves them here until
+// the thread's next round replaces them.
+template <class Snapshot>
+std::vector<std::vector<Snapshot>>& handoff() {
+  thread_local std::vector<std::vector<Snapshot>> slot;
+  return slot;
 }
 
 }  // namespace
+
+void CountSnapshotSource::collect_into(
+    std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
+    CollectStats& info, std::vector<std::vector<core::RandWaveSnapshot>>& out) {
+  handoff<core::RandWaveSnapshot>() = std::move(out);
+  out = collect(n, missing, stats, info);
+}
+
+std::vector<std::vector<core::RandWaveSnapshot>> CountSnapshotSource::collect(
+    std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
+    CollectStats& info) {
+  auto out = std::exchange(handoff<core::RandWaveSnapshot>(), {});
+  collect_into(n, missing, stats, info, out);
+  return out;
+}
+
+void DistinctSnapshotSource::collect_into(
+    std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
+    CollectStats& info, std::vector<std::vector<core::DistinctSnapshot>>& out) {
+  handoff<core::DistinctSnapshot>() = std::move(out);
+  out = collect(n, missing, stats, info);
+}
+
+std::vector<std::vector<core::DistinctSnapshot>>
+DistinctSnapshotSource::collect(std::uint64_t n,
+                                std::vector<std::size_t>& missing,
+                                WireStats* stats, CollectStats& info) {
+  auto out = std::exchange(handoff<core::DistinctSnapshot>(), {});
+  collect_into(n, missing, stats, info, out);
+  return out;
+}
 
 InProcessCountSource::InProcessCountSource(
     std::span<const CountParty* const> parties, bool via_wire)
@@ -146,12 +165,12 @@ const char* InProcessCountSource::transport() const {
   return via_wire_ ? "wire" : "direct";
 }
 
-std::vector<std::vector<core::RandWaveSnapshot>>
-InProcessCountSource::collect(std::uint64_t n, std::vector<std::size_t>&,
-                              WireStats* stats, CollectStats& info) {
-  std::vector<std::vector<core::RandWaveSnapshot>> by_party;
-  by_party.reserve(parties_.size());
-  for (const CountParty* p : parties_) {
+void InProcessCountSource::collect_into(
+    std::uint64_t n, std::vector<std::size_t>&, WireStats* stats,
+    CollectStats& info, std::vector<std::vector<core::RandWaveSnapshot>>& out) {
+  out.resize(parties_.size());
+  for (std::size_t j = 0; j < parties_.size(); ++j) {
+    const CountParty* p = parties_[j];
     auto snaps = p->snapshots(n);
     if (!via_wire_) {
       for (const auto& s : snaps) {
@@ -162,9 +181,9 @@ InProcessCountSource::collect(std::uint64_t n, std::vector<std::size_t>&,
           stats->add(b, paper_bits(s, p->instance(0).top_level()));
         }
       }
-      by_party.push_back(std::move(snaps));
+      out[j] = std::move(snaps);
     } else {
-      std::vector<core::RandWaveSnapshot> decoded(snaps.size());
+      out[j].resize(snaps.size());
       for (std::size_t i = 0; i < snaps.size(); ++i) {
         const Bytes enc = encode(snaps[i]);
         ++info.messages;
@@ -172,14 +191,15 @@ InProcessCountSource::collect(std::uint64_t n, std::vector<std::size_t>&,
         if (stats != nullptr) {
           stats->add(enc.size(), static_cast<double>(enc.size()) * 8.0);
         }
-        const bool ok = decode(enc, decoded[i]);
-        if (!ok) ++info.decode_failures;
+        const bool ok = decode(enc, out[j][i]);
+        if (!ok) {
+          ++info.decode_failures;
+          out[j][i] = {};
+        }
         assert(ok && "wire round-trip must succeed");
       }
-      by_party.push_back(std::move(decoded));
     }
   }
-  return by_party;
 }
 
 InProcessDistinctSource::InProcessDistinctSource(
@@ -208,12 +228,12 @@ const char* InProcessDistinctSource::transport() const {
   return via_wire_ ? "wire" : "direct";
 }
 
-std::vector<std::vector<core::DistinctSnapshot>>
-InProcessDistinctSource::collect(std::uint64_t n, std::vector<std::size_t>&,
-                                 WireStats* stats, CollectStats& info) {
-  std::vector<std::vector<core::DistinctSnapshot>> by_party;
-  by_party.reserve(parties_.size());
-  for (const DistinctParty* p : parties_) {
+void InProcessDistinctSource::collect_into(
+    std::uint64_t n, std::vector<std::size_t>&, WireStats* stats,
+    CollectStats& info, std::vector<std::vector<core::DistinctSnapshot>>& out) {
+  out.resize(parties_.size());
+  for (std::size_t j = 0; j < parties_.size(); ++j) {
+    const DistinctParty* p = parties_[j];
     auto snaps = p->snapshots(n);
     if (!via_wire_) {
       for (const auto& s : snaps) {
@@ -225,9 +245,9 @@ InProcessDistinctSource::collect(std::uint64_t n, std::vector<std::size_t>&,
                                    p->instance(0).top_level()));
         }
       }
-      by_party.push_back(std::move(snaps));
+      out[j] = std::move(snaps);
     } else {
-      std::vector<core::DistinctSnapshot> decoded(snaps.size());
+      out[j].resize(snaps.size());
       for (std::size_t i = 0; i < snaps.size(); ++i) {
         const Bytes enc = encode(snaps[i]);
         ++info.messages;
@@ -235,26 +255,26 @@ InProcessDistinctSource::collect(std::uint64_t n, std::vector<std::size_t>&,
         if (stats != nullptr) {
           stats->add(enc.size(), static_cast<double>(enc.size()) * 8.0);
         }
-        const bool ok = decode(enc, decoded[i]);
-        if (!ok) ++info.decode_failures;
+        const bool ok = decode(enc, out[j][i]);
+        if (!ok) {
+          ++info.decode_failures;
+          out[j][i] = {};
+        }
         assert(ok && "wire round-trip must succeed");
       }
-      by_party.push_back(std::move(decoded));
     }
   }
-  return by_party;
 }
 
 QueryResult union_count(CountSnapshotSource& source, std::uint64_t n,
-                        WireStats* stats) {
-  const RoundMetrics metrics = RoundMetrics::make(
-      "protocol=\"union\",transport=\"" + std::string(source.transport()) +
-      "\"");
+                        WireStats* stats,
+                        RoundBuffers<core::RandWaveSnapshot>& buffers) {
+  const RoundObs& metrics =
+      round_obs("union", "referee.union_count", source.transport());
   // The round span roots the query's trace (or joins an enclosing one);
   // the ambient scope lets the transport's fan-out — and, over TCP, the
   // parties' server-side spans — stitch under it.
-  auto span = obs::Tracer::instance().start_auto("referee.union_count" +
-                                                 span_suffix(source.transport()));
+  auto span = obs::Tracer::instance().start_auto(metrics.span_name);
   const obs::TraceScope trace_scope(span.context());
   QueryResult r;
   if (source.party_count() == 0) {
@@ -262,7 +282,7 @@ QueryResult union_count(CountSnapshotSource& source, std::uint64_t n,
     return r;
   }
   CollectStats info;
-  auto by_party = source.collect(n, r.missing, stats, info);
+  source.collect_into(n, r.missing, stats, info, buffers.by_party);
   span.set("missing", static_cast<double>(r.missing.size()));
   if (!r.missing.empty()) {
     finish_round(metrics, span, source.party_count(), info);
@@ -270,14 +290,13 @@ QueryResult union_count(CountSnapshotSource& source, std::uint64_t n,
     r.estimate = core::Estimate{0.0, false, n};
     return r;
   }
-  const int workers = combine_workers(source.instances());
   r.estimate = combine_median(
-      by_party, source.instances(), n, workers,
-      [&](std::span<const core::RandWaveSnapshot> inst, int i) {
-        return core::referee_union_count(inst, n, source.hash(i)).value;
+      buffers, source.instances(), n,
+      [&](std::span<const core::RandWaveSnapshot* const> inst, int i) {
+        return core::referee_union_count(inst, n, source.hash(i),
+                                         buffers.merge)
+            .value;
       });
-  span.set("combine_workers", static_cast<double>(workers));
-  metrics.combine_workers.add(static_cast<std::uint64_t>(workers));
   r.status = QueryStatus::kOk;
   finish_round(metrics, span, source.party_count(), info);
   return r;
@@ -285,12 +304,11 @@ QueryResult union_count(CountSnapshotSource& source, std::uint64_t n,
 
 QueryResult distinct_count(DistinctSnapshotSource& source, std::uint64_t n,
                            WireStats* stats,
-                           const std::function<bool(std::uint64_t)>& predicate) {
-  const RoundMetrics metrics = RoundMetrics::make(
-      "protocol=\"distinct\",transport=\"" + std::string(source.transport()) +
-      "\"");
-  auto span = obs::Tracer::instance().start_auto(
-      "referee.distinct_count" + span_suffix(source.transport()));
+                           const std::function<bool(std::uint64_t)>& predicate,
+                           RoundBuffers<core::DistinctSnapshot>& buffers) {
+  const RoundObs& metrics =
+      round_obs("distinct", "referee.distinct_count", source.transport());
+  auto span = obs::Tracer::instance().start_auto(metrics.span_name);
   const obs::TraceScope trace_scope(span.context());
   QueryResult r;
   if (source.party_count() == 0) {
@@ -298,7 +316,7 @@ QueryResult distinct_count(DistinctSnapshotSource& source, std::uint64_t n,
     return r;
   }
   CollectStats info;
-  auto by_party = source.collect(n, r.missing, stats, info);
+  source.collect_into(n, r.missing, stats, info, buffers.by_party);
   span.set("missing", static_cast<double>(r.missing.size()));
   if (!r.missing.empty()) {
     finish_round(metrics, span, source.party_count(), info);
@@ -306,19 +324,31 @@ QueryResult distinct_count(DistinctSnapshotSource& source, std::uint64_t n,
     r.estimate = core::Estimate{0.0, false, n};
     return r;
   }
-  const int workers = combine_workers(source.instances());
   r.estimate = combine_median(
-      by_party, source.instances(), n, workers,
-      [&](std::span<const core::DistinctSnapshot> inst, int i) {
+      buffers, source.instances(), n,
+      [&](std::span<const core::DistinctSnapshot* const> inst, int i) {
         return core::referee_distinct_count(inst, n, source.hash(i),
-                                            predicate)
+                                            predicate, buffers.merge)
             .value;
       });
-  span.set("combine_workers", static_cast<double>(workers));
-  metrics.combine_workers.add(static_cast<std::uint64_t>(workers));
   r.status = QueryStatus::kOk;
   finish_round(metrics, span, source.party_count(), info);
   return r;
+}
+
+// Per-thread buffers keep a thread's repeated rounds allocation-free
+// without the caller holding any; rounds on different threads never share.
+QueryResult union_count(CountSnapshotSource& source, std::uint64_t n,
+                        WireStats* stats) {
+  thread_local RoundBuffers<core::RandWaveSnapshot> buffers;
+  return union_count(source, n, stats, buffers);
+}
+
+QueryResult distinct_count(DistinctSnapshotSource& source, std::uint64_t n,
+                           WireStats* stats,
+                           const std::function<bool(std::uint64_t)>& predicate) {
+  thread_local RoundBuffers<core::DistinctSnapshot> buffers;
+  return distinct_count(source, n, stats, predicate, buffers);
 }
 
 core::Estimate union_count(std::span<const CountParty* const> parties,

@@ -51,15 +51,32 @@ struct QueryResult {
   }
 };
 
-/// Per-round transfer accounting a source fills during collect().
+/// Per-round transfer accounting a source fills while collecting.
 struct CollectStats {
   std::uint64_t messages = 0;
   std::uint64_t bytes = 0;
   std::uint64_t decode_failures = 0;
 };
 
+/// Caller-kept buffers for referee rounds: the collected snapshots, the
+/// per-instance view across parties, the per-instance estimates and the
+/// merge scratch. They carry only capacity from one round to the next, so a
+/// steady-state round allocates nothing for snapshots or the combine. One
+/// round at a time: concurrent rounds need one RoundBuffers each.
+template <class Snapshot>
+struct RoundBuffers {
+  std::vector<std::vector<Snapshot>> by_party;
+  std::vector<const Snapshot*> instance;
+  std::vector<double> per_instance;
+  core::UnionScratch merge;
+};
+
 /// Supplies one referee round's snapshots for Union Counting. party_count
-/// and instances are fixed per deployment; collect() may fail per party.
+/// and instances are fixed per deployment; collection may fail per party.
+/// A source overrides collect_into, collect, or both: each defaults to the
+/// other. The defaults hand the caller's buffers through, so a decorator
+/// that overrides only collect (a timing wrapper, say) around a source that
+/// fills in place still reuses the caller's capacity.
 class CountSnapshotSource {
  public:
   virtual ~CountSnapshotSource() = default;
@@ -68,15 +85,21 @@ class CountSnapshotSource {
   /// The shared hash of instance i (identical at every party by stored
   /// coins; the referee re-derives it from the deployment seed).
   [[nodiscard]] virtual const gf2::ExpHash& hash(int instance) const = 0;
-  /// Metrics label and span suffix: "direct", "wire", or "tcp".
+  /// Metrics label and span suffix: "direct", "wire", "tcp" or "push".
   [[nodiscard]] virtual const char* transport() const = 0;
-  /// Per-party snapshot vectors (instances() each) for a window of n items.
-  /// A party that cannot answer yields an empty vector and its index in
-  /// `missing`. `stats` (optional) gets per-message WireStats accounting in
-  /// the source's native encoding.
+  /// Per-party snapshot vectors (instances() each) for a window of n items,
+  /// written over `out` (resized to party_count()) so its capacity carries
+  /// across rounds. A party that cannot answer leaves an empty vector and
+  /// its index in `missing`. `stats` (optional) gets per-message WireStats
+  /// accounting in the source's native encoding.
+  virtual void collect_into(
+      std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
+      CollectStats& info,
+      std::vector<std::vector<core::RandWaveSnapshot>>& out);
+  /// Same, returned by value.
   virtual std::vector<std::vector<core::RandWaveSnapshot>> collect(
       std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
-      CollectStats& info) = 0;
+      CollectStats& info);
 };
 
 /// Same contract for distinct values.
@@ -87,9 +110,12 @@ class DistinctSnapshotSource {
   [[nodiscard]] virtual int instances() const = 0;
   [[nodiscard]] virtual const gf2::ExpHash& hash(int instance) const = 0;
   [[nodiscard]] virtual const char* transport() const = 0;
+  virtual void collect_into(
+      std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
+      CollectStats& info, std::vector<std::vector<core::DistinctSnapshot>>& out);
   virtual std::vector<std::vector<core::DistinctSnapshot>> collect(
       std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
-      CollectStats& info) = 0;
+      CollectStats& info);
 };
 
 /// In-process sources over live parties: `via_wire` routes every snapshot
@@ -103,9 +129,10 @@ class InProcessCountSource final : public CountSnapshotSource {
   [[nodiscard]] int instances() const override;
   [[nodiscard]] const gf2::ExpHash& hash(int instance) const override;
   [[nodiscard]] const char* transport() const override;
-  std::vector<std::vector<core::RandWaveSnapshot>> collect(
+  void collect_into(
       std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
-      CollectStats& info) override;
+      CollectStats& info,
+      std::vector<std::vector<core::RandWaveSnapshot>>& out) override;
 
  private:
   std::span<const CountParty* const> parties_;
@@ -120,9 +147,10 @@ class InProcessDistinctSource final : public DistinctSnapshotSource {
   [[nodiscard]] int instances() const override;
   [[nodiscard]] const gf2::ExpHash& hash(int instance) const override;
   [[nodiscard]] const char* transport() const override;
-  std::vector<std::vector<core::DistinctSnapshot>> collect(
+  void collect_into(
       std::uint64_t n, std::vector<std::size_t>& missing, WireStats* stats,
-      CollectStats& info) override;
+      CollectStats& info,
+      std::vector<std::vector<core::DistinctSnapshot>>& out) override;
 
  private:
   std::span<const DistinctParty* const> parties_;
@@ -131,7 +159,18 @@ class InProcessDistinctSource final : public DistinctSnapshotSource {
 
 /// Union Counting / distinct values from any snapshot source. Fails closed
 /// (QueryStatus::kFailed) when any party is missing. All transports produce
-/// bit-identical estimates for the same snapshots.
+/// bit-identical estimates for the same snapshots. The combine is one
+/// serial t-way union per instance over the collected snapshots in place;
+/// `buffers` holds everything the round writes.
+[[nodiscard]] QueryResult union_count(
+    CountSnapshotSource& source, std::uint64_t n, WireStats* stats,
+    RoundBuffers<core::RandWaveSnapshot>& buffers);
+[[nodiscard]] QueryResult distinct_count(
+    DistinctSnapshotSource& source, std::uint64_t n, WireStats* stats,
+    const std::function<bool(std::uint64_t)>& predicate,
+    RoundBuffers<core::DistinctSnapshot>& buffers);
+
+/// Same, with buffers kept per calling thread.
 [[nodiscard]] QueryResult union_count(CountSnapshotSource& source,
                                       std::uint64_t n,
                                       WireStats* stats = nullptr);

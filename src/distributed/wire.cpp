@@ -101,10 +101,13 @@ bool decode(const Bytes& in, core::RandWaveSnapshot& out) {
   if (count > in.size() - at) return decode_fail();
   tmp.level = static_cast<int>(level);
   tmp.positions.reserve(count);
+  // Positions ascend strictly (the referee's merge relies on it): every
+  // delta is >= 1 and none may wrap past 2^64.
   std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t d = 0;
     if (!get_varint(in, at, d)) return false;
+    if (d == 0 || d > ~prev) return decode_fail();
     prev += d;
     tmp.positions.push_back(prev);
   }

@@ -20,8 +20,9 @@ using distributed::Bytes;
 // union/median code — that, plus snapshots derived by the same
 // snapshot_from_checkpoint codepath the polling client uses, is what makes
 // a hub estimate byte-identical to a poll of the same party states.
-// collect() runs under mu_ (recompute holds it) and refreshes each live
-// mirror's derived-snapshot cache only when its push-chain cursor moved.
+// collect_into() runs under mu_ (recompute holds it) and derives each live
+// mirror's snapshots straight into the hub's round buffers, which mu_ also
+// guards.
 class MirrorCountSource final : public distributed::CountSnapshotSource {
  public:
   explicit MirrorCountSource(MonitorHub& hub) : hub_(hub) {}
@@ -33,32 +34,26 @@ class MirrorCountSource final : public distributed::CountSnapshotSource {
     return hub_.count_ref_->instance(instance).hash();
   }
   [[nodiscard]] const char* transport() const override { return "push"; }
-  std::vector<std::vector<core::RandWaveSnapshot>> collect(
+  void collect_into(
       std::uint64_t n, std::vector<std::size_t>& missing,
-      distributed::WireStats* stats, distributed::CollectStats& info) override {
+      distributed::WireStats* stats, distributed::CollectStats& info,
+      std::vector<std::vector<core::RandWaveSnapshot>>& out) override {
     (void)stats;
     (void)info;
-    std::vector<std::vector<core::RandWaveSnapshot>> out;
-    out.reserve(hub_.mirrors_.size());
+    out.resize(hub_.mirrors_.size());
     for (std::size_t i = 0; i < hub_.mirrors_.size(); ++i) {
-      MonitorHub::PartyMirror& m = hub_.mirrors_[i];
+      const MonitorHub::PartyMirror& m = hub_.mirrors_[i];
       if (!m.live) {
         missing.push_back(i);
-        out.emplace_back();
+        out[i].clear();
         continue;
       }
-      if (!m.snap_valid || m.snap_cursor != m.cursor) {
-        m.count_snaps.resize(m.count_base.waves.size());
-        for (std::size_t k = 0; k < m.count_base.waves.size(); ++k) {
-          core::snapshot_from_checkpoint_into(m.count_base.waves[k], n,
-                                              m.count_snaps[k]);
-        }
-        m.snap_valid = true;
-        m.snap_cursor = m.cursor;
+      out[i].resize(m.count_base.waves.size());
+      for (std::size_t k = 0; k < m.count_base.waves.size(); ++k) {
+        core::snapshot_from_checkpoint_into(m.count_base.waves[k], n,
+                                            out[i][k]);
       }
-      out.push_back(m.count_snaps);
     }
-    return out;
   }
 
  private:
@@ -76,33 +71,27 @@ class MirrorDistinctSource final : public distributed::DistinctSnapshotSource {
     return hub_.distinct_ref_->instance(instance).hash();
   }
   [[nodiscard]] const char* transport() const override { return "push"; }
-  std::vector<std::vector<core::DistinctSnapshot>> collect(
+  void collect_into(
       std::uint64_t n, std::vector<std::size_t>& missing,
-      distributed::WireStats* stats, distributed::CollectStats& info) override {
+      distributed::WireStats* stats, distributed::CollectStats& info,
+      std::vector<std::vector<core::DistinctSnapshot>>& out) override {
     (void)stats;
     (void)info;
     const std::uint64_t window = hub_.cfg_.distinct_params.window;
-    std::vector<std::vector<core::DistinctSnapshot>> out;
-    out.reserve(hub_.mirrors_.size());
+    out.resize(hub_.mirrors_.size());
     for (std::size_t i = 0; i < hub_.mirrors_.size(); ++i) {
-      MonitorHub::PartyMirror& m = hub_.mirrors_[i];
+      const MonitorHub::PartyMirror& m = hub_.mirrors_[i];
       if (!m.live) {
         missing.push_back(i);
-        out.emplace_back();
+        out[i].clear();
         continue;
       }
-      if (!m.snap_valid || m.snap_cursor != m.cursor) {
-        m.distinct_snaps.resize(m.distinct_base.waves.size());
-        for (std::size_t k = 0; k < m.distinct_base.waves.size(); ++k) {
-          core::snapshot_from_checkpoint_into(m.distinct_base.waves[k], n,
-                                              window, m.distinct_snaps[k]);
-        }
-        m.snap_valid = true;
-        m.snap_cursor = m.cursor;
+      out[i].resize(m.distinct_base.waves.size());
+      for (std::size_t k = 0; k < m.distinct_base.waves.size(); ++k) {
+        core::snapshot_from_checkpoint_into(m.distinct_base.waves[k], n,
+                                            window, out[i][k]);
       }
-      out.push_back(m.distinct_snaps);
     }
-    return out;
   }
 
  private:
@@ -220,7 +209,7 @@ void MonitorHub::recompute() {
       case net::PartyRole::kCount: {
         MirrorCountSource src(*this);
         const distributed::QueryResult qr =
-            distributed::union_count(src, cfg_.n);
+            distributed::union_count(src, cfg_.n, nullptr, count_round_);
         next.status = qr.status;
         next.value = qr.estimate.value;
         next.exact = qr.estimate.exact;
@@ -230,8 +219,8 @@ void MonitorHub::recompute() {
       }
       case net::PartyRole::kDistinct: {
         MirrorDistinctSource src(*this);
-        const distributed::QueryResult qr =
-            distributed::distinct_count(src, cfg_.n);
+        const distributed::QueryResult qr = distributed::distinct_count(
+            src, cfg_.n, nullptr, {}, distinct_round_);
         next.status = qr.status;
         next.value = qr.estimate.value;
         next.exact = qr.estimate.exact;
@@ -378,7 +367,6 @@ bool MonitorHub::apply_push(std::size_t i, const net::PushUpdate& u,
   m.generation = u.generation;
   m.cursor = u.cursor;
   m.seq = u.seq;
-  m.snap_valid = false;
   return true;
 }
 

@@ -141,9 +141,7 @@ class MonitorHub {
   friend class MirrorCountSource;
   friend class MirrorDistinctSource;
 
-  /// One party's pushed state: the checkpoint mirror the push chain edits,
-  /// plus the derived-snapshot cache keyed (cursor, n) so quiescent
-  /// recomputes rebuild nothing.
+  /// One party's pushed state: the checkpoint mirror the push chain edits.
   struct PartyMirror {
     bool live = false;
     std::uint64_t generation = 0;
@@ -155,11 +153,6 @@ class MonitorHub {
     distributed::DistinctPartyCheckpoint distinct_scratch;
     double value = 0.0;  // basic/sum local total
     bool exact = false;
-    // Snapshot cache (count/distinct).
-    bool snap_valid = false;
-    std::uint64_t snap_cursor = 0;
-    std::vector<core::RandWaveSnapshot> count_snaps;
-    std::vector<core::DistinctSnapshot> distinct_snaps;
   };
 
   void leg_loop(std::size_t i, const std::stop_token& st);
@@ -183,8 +176,10 @@ class MonitorHub {
   std::unique_ptr<distributed::CountParty> count_ref_;
   std::unique_ptr<distributed::DistinctParty> distinct_ref_;
 
-  mutable std::mutex mu_;  // mirrors
+  mutable std::mutex mu_;  // mirrors and the round buffers
   std::vector<PartyMirror> mirrors_;
+  distributed::RoundBuffers<core::RandWaveSnapshot> count_round_;
+  distributed::RoundBuffers<core::DistinctSnapshot> distinct_round_;
 
   mutable std::mutex est_mu_;
   mutable std::condition_variable est_cv_;

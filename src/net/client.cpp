@@ -74,13 +74,23 @@ ClientConfig with_instances(ClientConfig cfg, int instances) {
   return cfg;
 }
 
+// Clears `f` to a fresh record except for its snapshot vectors, which keep
+// their capacity for the next copy out of the decoded-snapshot cache.
+void reset_keeping_buffers(Fetch& f) {
+  Fetch fresh;
+  fresh.count_snapshots = std::move(f.count_snapshots);
+  fresh.distinct_snapshots = std::move(f.distinct_snapshots);
+  f = std::move(fresh);
+}
+
 // Folds a decoded DeltaReply into the party's mirror and produces the
-// decoded per-instance snapshots through the (cursor, n) cache. `since` is
-// the since_cursor the request carried; `snap_into` derives one snapshot
-// from one wave checkpoint in place (count: (ck, out); distinct adds the
-// window), reusing the cache entry's buffers across rounds. False on any
-// cursor/codec mismatch — the caller treats it as a protocol error and
-// drops the connection.
+// decoded per-instance snapshots through the (cursor, n) cache, copied
+// over `out` (the caller's buffers, whose capacity the copy reuses).
+// `since` is the since_cursor the request carried; `snap_into` derives one
+// snapshot from one wave checkpoint in place (count: (ck, out); distinct
+// adds the window), reusing the cache entry's buffers across rounds. False
+// on any cursor/codec mismatch — the caller treats it as a protocol error
+// and drops the connection.
 template <class Checkpoint, class Snapshot, class SnapInto>
 bool apply_delta_reply(const DeltaReply& r, std::uint64_t since,
                        std::uint64_t generation, std::uint64_t n,
@@ -133,8 +143,8 @@ bool apply_delta_reply(const DeltaReply& r, std::uint64_t since,
   }
   obs.snapshot_cache_misses.add();
   // Rebuild the decoded-snapshot cache in place — each entry keeps its
-  // buffer capacity from the previous round — then hand the caller a copy
-  // (the Fetch owns its vector; the cache must survive for the next hit).
+  // buffer capacity from the previous round — then copy it over the
+  // caller's buffers (the cache must survive for the next hit).
   // Building into the cache instead of building fresh and copying into it
   // halves the snapshot allocations of a steady-state delta round (E18).
   m.cache.resize(m.base.waves.size());
@@ -150,10 +160,10 @@ bool apply_delta_reply(const DeltaReply& r, std::uint64_t since,
 
 }  // namespace
 
-Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
-                             std::uint64_t n, obs::TraceContext ctx,
-                             Deadline cap) const {
-  Fetch f;
+void RefereeClient::attempt(std::size_t party, PartyRole role,
+                            std::uint64_t n, obs::TraceContext ctx,
+                            Deadline cap, Fetch& f) const {
+  reset_keeping_buffers(f);
   const Endpoint& ep = parties_[party];
   PartyLink& link = *links_[party];
   // Fetches to the same party serialize here; the per-party fan-out threads
@@ -193,7 +203,7 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
       f.error = (connect_timed_out ? "connect timeout: " : "connect failed: ") +
                 ep.host + ":" + std::to_string(ep.port);
       f.connect_s += lap();
-      return f;
+      return;
     }
     link.sock = std::move(sock);
     if (link.ever_connected) obs.reconnects.add();
@@ -237,18 +247,18 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
     if (!send_msg(MsgType::kHello, Hello{cfg_.client_id}.encode())) {
       fail(FetchStatus::kConnectError, "hello send failed");
       f.connect_s += lap();
-      return f;
+      return;
     }
     if (!read_msg(frame)) {
       f.connect_s += lap();
-      return f;
+      return;
     }
     HelloAck ack;
     if (frame.type != MsgType::kHelloAck ||
         !HelloAck::decode(frame.payload, ack)) {
       fail(FetchStatus::kProtocolError, "bad hello ack");
       f.connect_s += lap();
-      return f;
+      return;
     }
     // A generation the mirror doesn't know means the party restarted since
     // the baseline was taken: the server-side delta state died with it, so
@@ -275,7 +285,7 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
     fail(FetchStatus::kRemoteError,
          std::string("party serves role ") + role_name(ack.role) +
              ", wanted " + role_name(role));
-    return f;
+    return;
   }
   const auto expected =
       static_cast<std::uint64_t>(std::max(cfg_.expected_instances, 0));
@@ -284,7 +294,7 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
          "party runs " + std::to_string(ack.instances) +
              " instances, wanted " + std::to_string(expected));
     f.connect_s += lap();
-    return f;
+    return;
   }
   f.connect_s += lap();
 
@@ -308,12 +318,12 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
   if (!send_msg(MsgType::kSnapshotRequest, link.request_scratch)) {
     fail(FetchStatus::kConnectError, "request send failed");
     f.send_s += lap();
-    return f;
+    return;
   }
   f.send_s += lap();
   if (!read_msg(frame)) {
     f.wait_s += lap();
-    return f;
+    return;
   }
   f.wait_s += lap();
   f.generation = ack.generation;
@@ -339,12 +349,12 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
       f.error = "party error (undecodable)";
     }
     f.decode_s += lap();
-    return f;
+    return;
   }
   if (frame.type != reply_type_for(role)) {
     fail(FetchStatus::kProtocolError, "unexpected reply type");
     f.decode_s += lap();
-    return f;
+    return;
   }
 
   // A reply stamped with a different epoch than the handshake means the
@@ -367,11 +377,11 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
         r.request_id != req.request_id || r.role != role) {
       fail(FetchStatus::kProtocolError, "bad delta reply");
       f.decode_s += lap();
-      return f;
+      return;
     }
     if (stale(r.generation)) {
       f.decode_s += lap();
-      return f;
+      return;
     }
     f.delta_reply = true;
     f.decode_s += lap();
@@ -400,18 +410,18 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
     if (!ok) {
       fail(FetchStatus::kProtocolError, std::move(err));
       f.apply_s += lap();
-      return f;
+      return;
     }
     if (expected > 0 && got != expected) {
       fail(FetchStatus::kProtocolError,
            "delta reply carries " + std::to_string(got) +
                " instances, wanted " + std::to_string(expected));
       f.apply_s += lap();
-      return f;
+      return;
     }
     f.status = FetchStatus::kOk;
     f.apply_s += lap();
-    return f;
+    return;
   }
 
   switch (role) {
@@ -424,9 +434,9 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
       if (!TotalReply::decode(frame.payload, r) ||
           r.request_id != req.request_id) {
         fail(FetchStatus::kProtocolError, "bad total reply");
-        return f;
+        return;
       }
-      if (stale(r.generation)) return f;
+      if (stale(r.generation)) return;
       f.total = r;
       break;
     }
@@ -435,16 +445,16 @@ Fetch RefereeClient::attempt(std::size_t party, PartyRole role,
       if (!AggReply::decode(frame.payload, r) ||
           r.request_id != req.request_id) {
         fail(FetchStatus::kProtocolError, "bad agg reply");
-        return f;
+        return;
       }
-      if (stale(r.generation)) return f;
+      if (stale(r.generation)) return;
       f.agg = r;
       break;
     }
   }
   f.status = FetchStatus::kOk;
   f.decode_s += lap();
-  return f;
+  return;
 }
 
 bool RefereeClient::breaker_admit(std::size_t party, bool& is_probe,
@@ -495,6 +505,15 @@ void RefereeClient::breaker_note(std::size_t party, const Fetch& f) const {
 
 Fetch RefereeClient::fetch(std::size_t party, PartyRole role, std::uint64_t n,
                            obs::TraceContext ctx) const {
+  Fetch f;
+  fetch_into(party, role, n, ctx, f);
+  return f;
+}
+
+void RefereeClient::fetch_into(std::size_t party, PartyRole role,
+                               std::uint64_t n, obs::TraceContext ctx,
+                               Fetch& result) const {
+  reset_keeping_buffers(result);
   const auto& obs = obs::NetClientObs::instance();
   obs.requests.add();
   const auto t0 = Clock::now();
@@ -515,20 +534,19 @@ Fetch RefereeClient::fetch(std::size_t party, PartyRole role, std::uint64_t n,
   // cooldown exactly one probe fetch is admitted through.
   if (cfg_.breaker_enabled) {
     bool is_probe = false;
-    Fetch fast;
-    if (!breaker_admit(party, is_probe, fast)) {
+    if (!breaker_admit(party, is_probe, result)) {
       obs.breaker_fast_fails.add();
-      fast.trace_id = span.trace_id();
-      fast.total_s = std::chrono::duration<double>(Clock::now() - t0).count();
-      obs.request_seconds.observe(fast.total_s);
+      result.trace_id = span.trace_id();
+      result.total_s =
+          std::chrono::duration<double>(Clock::now() - t0).count();
+      obs.request_seconds.observe(result.total_s);
       span.set("ok", 0.0);
       span.set("breaker_open", 1.0);
-      return fast;
+      return;
     }
     if (is_probe) obs.breaker_probes.add();
   }
 
-  Fetch result;
   std::uint64_t sent = 0;
   std::uint64_t received = 0;
   int attempts = 0;
@@ -584,7 +602,7 @@ Fetch RefereeClient::fetch(std::size_t party, PartyRole role, std::uint64_t n,
     }
     obs.attempts.add();
     attempts = a;
-    result = attempt(party, role, n, span.context(), budget_dl);
+    attempt(party, role, n, span.context(), budget_dl, result);
     sent += result.bytes_sent;
     received += result.bytes_received;
     connect_s += result.connect_s;
@@ -663,11 +681,17 @@ Fetch RefereeClient::fetch(std::size_t party, PartyRole role, std::uint64_t n,
   rec.backoff_s = backoff_s;
   rec.total_s = result.total_s;
   obs::FlightRecorder::instance().record(std::move(rec));
-  return result;
 }
 
 std::vector<Fetch> RefereeClient::fetch_all(PartyRole role,
                                             std::uint64_t n) const {
+  std::vector<Fetch> results;
+  fetch_all_into(role, n, results);
+  return results;
+}
+
+void RefereeClient::fetch_all_into(PartyRole role, std::uint64_t n,
+                                   std::vector<Fetch>& results) const {
   // Joins the calling thread's ambient trace (the referee round installs
   // one via obs::TraceScope) or roots a fresh one. The per-party fetch
   // threads have no ambient context of their own, so the fan-out span's
@@ -677,13 +701,13 @@ std::vector<Fetch> RefereeClient::fetch_all(PartyRole role,
   if (fan_ctx) {
     last_trace_id_.store(fan_ctx.trace_id, std::memory_order_relaxed);
   }
-  std::vector<Fetch> results(parties_.size());
+  results.resize(parties_.size());
   {
     std::vector<std::jthread> threads;
     threads.reserve(parties_.size());
     for (std::size_t i = 0; i < parties_.size(); ++i) {
       threads.emplace_back([this, &results, i, role, n, fan_ctx] {
-        results[i] = fetch(i, role, n, fan_ctx);
+        fetch_into(i, role, n, fan_ctx, results[i]);
       });
     }
   }  // join
@@ -696,8 +720,50 @@ std::vector<Fetch> RefereeClient::fetch_all(PartyRole role,
   span.set("parties", static_cast<double>(parties_.size()));
   span.set("ok", static_cast<double>(ok));
   span.set("bytes_received", static_cast<double>(bytes));
-  return results;
 }
+
+namespace {
+
+// One referee round over the network into the caller's buffers: each
+// party's slot of `out` is lent to its Fetch, so the copy out of the
+// client's snapshot cache reuses the slot's capacity, and is then taken
+// back. A failed party, or one answering with the wrong instance count
+// (combine_median indexes every party at [0, instances)), ends up empty
+// and in `missing`.
+template <class Snapshot>
+void collect_fetches(const RefereeClient& client, PartyRole role,
+                     std::uint64_t n, int instances,
+                     std::vector<Snapshot> Fetch::*slot,
+                     std::vector<std::size_t>& missing,
+                     distributed::WireStats* stats,
+                     distributed::CollectStats& info,
+                     std::vector<std::vector<Snapshot>>& out) {
+  out.resize(client.party_count());
+  std::vector<Fetch> fetches(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) (fetches[i].*slot).swap(out[i]);
+  client.fetch_all_into(role, n, fetches);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const Fetch& f = fetches[i];
+    out[i].swap(fetches[i].*slot);
+    info.bytes += f.bytes_received;
+    const bool ok = f.ok() && out[i].size() == static_cast<std::size_t>(instances);
+    if (!ok) {
+      if (f.ok() || f.status == FetchStatus::kProtocolError) {
+        ++info.decode_failures;
+      }
+      missing.push_back(i);
+      out[i].clear();
+      continue;
+    }
+    info.messages += out[i].size();
+    if (stats != nullptr) {
+      stats->add(f.bytes_received,
+                 static_cast<double>(f.bytes_received) * 8.0);
+    }
+  }
+}
+
+}  // namespace
 
 NetworkCountSource::NetworkCountSource(std::vector<Endpoint> parties,
                                        const core::RandWave::Params& params,
@@ -717,35 +783,12 @@ const gf2::ExpHash& NetworkCountSource::hash(int instance) const {
   return reference_.instance(instance).hash();
 }
 
-std::vector<std::vector<core::RandWaveSnapshot>> NetworkCountSource::collect(
+void NetworkCountSource::collect_into(
     std::uint64_t n, std::vector<std::size_t>& missing,
-    distributed::WireStats* stats, distributed::CollectStats& info) {
-  std::vector<Fetch> fetches = client_.fetch_all(PartyRole::kCount, n);
-  std::vector<std::vector<core::RandWaveSnapshot>> by_party(fetches.size());
-  for (std::size_t i = 0; i < fetches.size(); ++i) {
-    Fetch& f = fetches[i];
-    info.bytes += f.bytes_received;
-    if (!f.ok()) {
-      if (f.status == FetchStatus::kProtocolError) ++info.decode_failures;
-      missing.push_back(i);
-      continue;
-    }
-    // combine_median indexes every party's vector at [0, instances);
-    // a short reply must land in `missing`, never out-of-bounds there.
-    if (f.count_snapshots.size() !=
-        static_cast<std::size_t>(instances())) {
-      ++info.decode_failures;
-      missing.push_back(i);
-      continue;
-    }
-    info.messages += f.count_snapshots.size();
-    if (stats != nullptr) {
-      stats->add(f.bytes_received,
-                 static_cast<double>(f.bytes_received) * 8.0);
-    }
-    by_party[i] = std::move(f.count_snapshots);
-  }
-  return by_party;
+    distributed::WireStats* stats, distributed::CollectStats& info,
+    std::vector<std::vector<core::RandWaveSnapshot>>& out) {
+  collect_fetches(client_, PartyRole::kCount, n, instances(),
+                  &Fetch::count_snapshots, missing, stats, info, out);
 }
 
 NetworkDistinctSource::NetworkDistinctSource(
@@ -766,35 +809,12 @@ const gf2::ExpHash& NetworkDistinctSource::hash(int instance) const {
   return reference_.instance(instance).hash();
 }
 
-std::vector<std::vector<core::DistinctSnapshot>>
-NetworkDistinctSource::collect(std::uint64_t n,
-                               std::vector<std::size_t>& missing,
-                               distributed::WireStats* stats,
-                               distributed::CollectStats& info) {
-  std::vector<Fetch> fetches = client_.fetch_all(PartyRole::kDistinct, n);
-  std::vector<std::vector<core::DistinctSnapshot>> by_party(fetches.size());
-  for (std::size_t i = 0; i < fetches.size(); ++i) {
-    Fetch& f = fetches[i];
-    info.bytes += f.bytes_received;
-    if (!f.ok()) {
-      if (f.status == FetchStatus::kProtocolError) ++info.decode_failures;
-      missing.push_back(i);
-      continue;
-    }
-    if (f.distinct_snapshots.size() !=
-        static_cast<std::size_t>(instances())) {
-      ++info.decode_failures;
-      missing.push_back(i);
-      continue;
-    }
-    info.messages += f.distinct_snapshots.size();
-    if (stats != nullptr) {
-      stats->add(f.bytes_received,
-                 static_cast<double>(f.bytes_received) * 8.0);
-    }
-    by_party[i] = std::move(f.distinct_snapshots);
-  }
-  return by_party;
+void NetworkDistinctSource::collect_into(
+    std::uint64_t n, std::vector<std::size_t>& missing,
+    distributed::WireStats* stats, distributed::CollectStats& info,
+    std::vector<std::vector<core::DistinctSnapshot>>& out) {
+  collect_fetches(client_, PartyRole::kDistinct, n, instances(),
+                  &Fetch::distinct_snapshots, missing, stats, info, out);
 }
 
 distributed::QueryResult total_query(const RefereeClient& client,

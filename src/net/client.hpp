@@ -192,6 +192,12 @@ class RefereeClient {
   [[nodiscard]] std::vector<Fetch> fetch_all(PartyRole role,
                                              std::uint64_t n) const;
 
+  /// fetch_all into caller-kept records (resized to party_count()): each
+  /// Fetch is overwritten except for the capacity of its snapshot vectors,
+  /// which the reply's snapshots are copied into.
+  void fetch_all_into(PartyRole role, std::uint64_t n,
+                      std::vector<Fetch>& results) const;
+
   /// Trace id of the most recent fetch_all round (0 before the first, or
   /// with WAVES_OBS=OFF). What `wavecli query --trace` scrapes parties for.
   [[nodiscard]] std::uint64_t last_trace_id() const noexcept {
@@ -237,13 +243,16 @@ class RefereeClient {
     std::string last_error;
   };
 
-  // One connect/request/reply exchange. `cap` is the fetch's total-budget
-  // deadline (Clock::time_point::max() when ClientConfig::total_deadline is
-  // 0): every I/O deadline inside the attempt is clamped to it, so a
-  // budgeted fetch can never overrun its caller's ceiling mid-attempt.
-  [[nodiscard]] Fetch attempt(std::size_t party, PartyRole role,
-                              std::uint64_t n, obs::TraceContext ctx,
-                              Deadline cap) const;
+  // fetch into a caller-kept record, as fetch_all_into does per party.
+  void fetch_into(std::size_t party, PartyRole role, std::uint64_t n,
+                  obs::TraceContext ctx, Fetch& out) const;
+  // One connect/request/reply exchange into `f` (reset first, keeping its
+  // snapshot buffers). `cap` is the fetch's total-budget deadline
+  // (Clock::time_point::max() when ClientConfig::total_deadline is 0):
+  // every I/O deadline inside the attempt is clamped to it, so a budgeted
+  // fetch can never overrun its caller's ceiling mid-attempt.
+  void attempt(std::size_t party, PartyRole role, std::uint64_t n,
+               obs::TraceContext ctx, Deadline cap, Fetch& f) const;
   // Breaker admission for one fetch. True = proceed (is_probe set when this
   // fetch is the half-open trial); false = fail fast, `fast` filled with
   // the tripping failure's status kind.
@@ -275,10 +284,10 @@ class NetworkCountSource final : public distributed::CountSnapshotSource {
   [[nodiscard]] int instances() const override;
   [[nodiscard]] const gf2::ExpHash& hash(int instance) const override;
   [[nodiscard]] const char* transport() const override { return "tcp"; }
-  std::vector<std::vector<core::RandWaveSnapshot>> collect(
+  void collect_into(
       std::uint64_t n, std::vector<std::size_t>& missing,
-      distributed::WireStats* stats,
-      distributed::CollectStats& info) override;
+      distributed::WireStats* stats, distributed::CollectStats& info,
+      std::vector<std::vector<core::RandWaveSnapshot>>& out) override;
 
   [[nodiscard]] RefereeClient& client() noexcept { return client_; }
 
@@ -299,10 +308,10 @@ class NetworkDistinctSource final
   [[nodiscard]] int instances() const override;
   [[nodiscard]] const gf2::ExpHash& hash(int instance) const override;
   [[nodiscard]] const char* transport() const override { return "tcp"; }
-  std::vector<std::vector<core::DistinctSnapshot>> collect(
+  void collect_into(
       std::uint64_t n, std::vector<std::size_t>& missing,
-      distributed::WireStats* stats,
-      distributed::CollectStats& info) override;
+      distributed::WireStats* stats, distributed::CollectStats& info,
+      std::vector<std::vector<core::DistinctSnapshot>>& out) override;
 
   [[nodiscard]] RefereeClient& client() noexcept { return client_; }
 

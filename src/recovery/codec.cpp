@@ -227,10 +227,12 @@ bool get_checkpoint(const Bytes& in, std::size_t& at,
     if (!get_varint(in, at, len) || len > in.size() - at) return false;
     std::vector<std::uint64_t> q;
     q.reserve(std::min<std::size_t>(len, kReserveCap));
+    // Strictly ascending, as the referee's merge needs: every delta >= 1,
+    // none wrapping past 2^64.
     std::uint64_t prev = 0;
     for (std::uint64_t i = 0; i < len; ++i) {
       std::uint64_t d = 0;
-      if (!get_varint(in, at, d)) return false;
+      if (!get_varint(in, at, d) || d == 0 || d > ~prev) return false;
       prev += d;
       q.push_back(prev);
     }

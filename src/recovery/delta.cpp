@@ -285,10 +285,12 @@ bool apply_rand(const Bytes& in, std::size_t& at,
     q.assign(base.queues[l].begin() + static_cast<std::ptrdiff_t>(drop),
              base.queues[l].end());
     q.reserve(q.size() + std::min<std::size_t>(appends, kReserveCap));
+    // Appends keep the queue strictly ascending, as the referee's merge
+    // needs: every delta >= 1, none wrapping past 2^64.
     std::uint64_t prev = q.empty() ? 0 : q.back();
     for (std::uint64_t j = 0; j < appends; ++j) {
       std::uint64_t d = 0;
-      if (!get_varint(in, at, d)) return false;
+      if (!get_varint(in, at, d) || d == 0 || d > ~prev) return false;
       prev += d;
       q.push_back(prev);
     }

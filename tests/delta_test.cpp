@@ -132,6 +132,68 @@ TEST(RecoveryDelta, RandWaveRoundTrip) {
       [&] { return w.checkpoint(); });
 }
 
+TEST(RecoveryDelta, RandAppendsMustAscendStrictly) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  core::RandWaveCheckpoint base;
+  base.pos = 10;
+  base.queues = {{3, 7}};
+  base.evicted_bounds = {0};
+  // A diff body (flags 0) that keeps the queue and appends hand-picked
+  // position deltas after its last position, 7.
+  auto body = [](std::initializer_list<std::uint64_t> deltas) {
+    Bytes b;
+    put_varint(b, 0);   // flags: diff
+    put_varint(b, 20);  // pos
+    put_varint(b, 1);   // queues
+    put_varint(b, 0);   // drop
+    put_varint(b, deltas.size());
+    for (const std::uint64_t d : deltas) put_varint(b, d);
+    put_varint(b, 0);  // evicted bound delta
+    return b;
+  };
+  core::RandWaveCheckpoint out;
+  std::size_t at = 0;
+  ASSERT_TRUE(get_delta(body({2, 1}), at, base, out));
+  EXPECT_EQ(out.queues.front(), (std::vector<std::uint64_t>{3, 7, 9, 10}));
+  for (const auto& bad : {body({0}), body({2, 0}), body({kMax - 6})}) {
+    at = 0;
+    EXPECT_FALSE(get_delta(bad, at, base, out));
+  }
+}
+
+TEST(RecoveryDelta, AppliedRandQueuesAlwaysAscendUnderCorruption) {
+  const std::uint64_t window = 256;
+  const gf2::Field f(util::floor_log2(util::next_pow2_at_least(2 * window)));
+  gf2::SharedRandomness coins(13);
+  core::RandWave w({.eps = 0.3, .window = window, .c = 8}, f, coins);
+  stream::BernoulliBits gen(0.5, 4);
+  for (int i = 0; i < 1500; ++i) w.update(gen.next());
+  const core::RandWaveCheckpoint base = w.checkpoint();
+  for (int i = 0; i < 60; ++i) w.update(gen.next());
+  Bytes clean;
+  put_delta(clean, base, w.checkpoint());
+  gf2::SplitMix64 rng(29);
+  int applied = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    Bytes mutated = clean;
+    mutated[rng.next() % mutated.size()] ^=
+        static_cast<std::uint8_t>(1u << (rng.next() % 8));
+    core::RandWaveCheckpoint out;
+    std::size_t at = 0;
+    if (!get_delta(mutated, at, base, out)) continue;
+    ++applied;
+    for (const auto& q : out.queues) {
+      for (std::size_t i = 1; i < q.size(); ++i) {
+        ASSERT_LT(q[i - 1], q[i]) << "trial " << trial;
+      }
+      if (!q.empty()) {
+        ASSERT_GE(q.front(), 1u);
+      }
+    }
+  }
+  EXPECT_GT(applied, 0);
+}
+
 TEST(RecoveryDelta, DistinctWaveRoundTrip) {
   core::DistinctWave::Params p{.eps = 0.4, .window = 200, .max_value = 5000,
                                .c = 8};

@@ -187,6 +187,60 @@ TEST(RecoveryCodec, RandWaveCheckpointRoundTrip) {
   EXPECT_EQ(so.positions, sr.positions);
 }
 
+TEST(RecoveryCodec, RandQueuePositionsMustAscendStrictly) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  // One level queue with hand-picked position deltas, one evicted bound.
+  auto body = [](std::initializer_list<std::uint64_t> deltas) {
+    Bytes b;
+    put_varint(b, 100);  // pos
+    put_varint(b, 1);    // queues
+    put_varint(b, deltas.size());
+    for (const std::uint64_t d : deltas) put_varint(b, d);
+    put_varint(b, 1);  // evicted bounds
+    put_varint(b, 0);
+    return b;
+  };
+  core::RandWaveCheckpoint out;
+  std::size_t at = 0;
+  ASSERT_TRUE(get_checkpoint(body({3, 4}), at, out));
+  EXPECT_EQ(out.queues.front(), (std::vector<std::uint64_t>{3, 7}));
+  for (const auto& bad : {body({3, 0}), body({0}), body({3, kMax - 1})}) {
+    at = 0;
+    EXPECT_FALSE(get_checkpoint(bad, at, out));
+  }
+}
+
+TEST(RecoveryCodec, DecodedRandQueuesAlwaysAscendUnderCorruption) {
+  const std::uint64_t window = 256;
+  const gf2::Field f(util::floor_log2(util::next_pow2_at_least(2 * window)));
+  gf2::SharedRandomness coins(5);
+  core::RandWave w({.eps = 0.3, .window = window, .c = 8}, f, coins);
+  stream::BernoulliBits gen(0.5, 9);
+  for (int i = 0; i < 2000; ++i) w.update(gen.next());
+  Bytes clean;
+  put_checkpoint(clean, w.checkpoint());
+  gf2::SplitMix64 rng(17);
+  int decoded = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    Bytes mutated = clean;
+    mutated[rng.next() % mutated.size()] ^=
+        static_cast<std::uint8_t>(1u << (rng.next() % 8));
+    core::RandWaveCheckpoint out;
+    std::size_t at = 0;
+    if (!get_checkpoint(mutated, at, out)) continue;
+    ++decoded;
+    for (const auto& q : out.queues) {
+      for (std::size_t i = 1; i < q.size(); ++i) {
+        ASSERT_LT(q[i - 1], q[i]) << "trial " << trial;
+      }
+      if (!q.empty()) {
+        ASSERT_GE(q.front(), 1u);
+      }
+    }
+  }
+  EXPECT_GT(decoded, 0);
+}
+
 TEST(RecoveryCodec, DistinctWaveCheckpointRoundTrip) {
   core::DistinctWave::Params p{.eps = 0.4, .window = 200, .max_value = 5000,
                                .c = 8};

@@ -176,6 +176,62 @@ core::RandWaveSnapshot count_sentinel() {
   return s;
 }
 
+// A count snapshot body with hand-picked position deltas, bypassing the
+// encoder (which only ever writes deltas >= 1).
+Bytes count_body(std::initializer_list<std::uint64_t> deltas) {
+  Bytes b;
+  put_varint(b, 2);          // level
+  put_varint(b, 1u << 20);   // stream_len
+  put_varint(b, deltas.size());
+  for (const std::uint64_t d : deltas) put_varint(b, d);
+  return b;
+}
+
+TEST(Wire, CountPositionsMustAscendStrictly) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  core::RandWaveSnapshot out = count_sentinel();
+  EXPECT_FALSE(decode(count_body({5, 0, 3}), out));        // repeat
+  EXPECT_FALSE(decode(count_body({0}), out));              // position 0
+  EXPECT_FALSE(decode(count_body({5, kMax - 3}), out));    // wraps to 1
+  EXPECT_EQ(out.positions, count_sentinel().positions);
+  // The largest position is fine when reached without wrapping.
+  ASSERT_TRUE(decode(count_body({5, kMax - 5}), out));
+  EXPECT_EQ(out.positions, (std::vector<std::uint64_t>{5, kMax}));
+}
+
+TEST(Wire, DecodedCountPositionsAlwaysAscendUnderCorruption) {
+  // Whatever bytes arrive, a snapshot that decodes is one the referee's
+  // merge can take: positions strictly ascending.
+  core::RandWaveSnapshot s;
+  s.level = 3;
+  s.stream_len = 50000;
+  // Steps of 1-3: a single flipped bit can zero a delta.
+  for (std::uint64_t p = 49000; p < 50000; p += 1 + p % 3) {
+    s.positions.push_back(p);
+  }
+  const Bytes clean = encode(s);
+  gf2::SplitMix64 rng(321);
+  int decoded = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    Bytes mutated = clean;
+    const std::size_t flips = 1 + rng.next() % 4;
+    for (std::size_t f = 0; f < flips; ++f) {
+      mutated[rng.next() % mutated.size()] ^=
+          static_cast<std::uint8_t>(1u << (rng.next() % 8));
+    }
+    core::RandWaveSnapshot out;
+    if (!decode(mutated, out)) continue;
+    ++decoded;
+    for (std::size_t i = 1; i < out.positions.size(); ++i) {
+      ASSERT_LT(out.positions[i - 1], out.positions[i]) << "trial " << trial;
+    }
+    if (!out.positions.empty()) {
+      ASSERT_GE(out.positions.front(), 1u);
+    }
+  }
+  EXPECT_GT(decoded, 0);  // the corpus reaches the success path
+}
+
 TEST(Wire, TruncatedPrefixesFailWithoutPartialOutput) {
   // Every strict prefix of a valid encoding must decode false AND leave
   // `out` exactly as it was — a referee must never act on half a snapshot.
