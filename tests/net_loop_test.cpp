@@ -1,5 +1,5 @@
 // Event-loop core tests: EventLoop timers/fds/post (both backends — epoll
-// and the poll(2) fallback), the WorkerPool, a golden wire transcript of
+// and the poll(2) fallback), the WorkerPool, golden wire transcripts of
 // the party server, and the slow-loris deadline behavior of the
 // readiness-driven core. Suite names start with NetLoop so the TSan CI leg's
 // -R "...|Net" regex picks every test up.
@@ -396,6 +396,180 @@ TEST(NetLoopGolden, WireTranscriptMatchesConstants) {
     SCOPED_TRACE(kGolden[i].what);
     EXPECT_EQ(got[i].type, kGolden[i].type);
     EXPECT_EQ(to_hex(got[i].payload), kGolden[i].payload_hex);
+  }
+}
+
+// The same guard for the rest of the delta chain: a distinct-role pull
+// chain and subscribe ack, and one delta push per checkpoint flavour.
+// Each push subscribes with a one-item slack and a drift timer that never
+// fires within the test, ingests, then sends a Hello: the drift check that
+// runs after every processed frame emits the push right behind the
+// HelloAck, with no timer involved.
+
+constexpr GoldenStep kGoldenDistinct[] = {
+    {"hello", MsgType::kHelloAck, "02000240960101"},
+    {"since_cursor 0", MsgType::kDeltaReply,
+     "01010200019a02960102960108100987012e015301130138015d011d"
+     "014201020127014c010c013101560116013b01103c78610121015004"
+     "10013501640424014901090138045d011d014c040c01310110585818"
+     "012c06400600015405140128063c06500610016405240138064c060c"
+     "01065858400d5406501364064c0d0164840100000008860174530000"
+     "000000960108100987012e015301130138015d011d01420102012701"
+     "4c010c013101560116013b01103c78210246012b0250015a03640309"
+     "0313035d02020327014c01310256013b020f185947045b064a051e07"
+     "3c092b055001090913035d0202034c023102560108185947045b064a"
+     "053c10090f310c560104185947045b063130025b633130015b630008"
+     "8601762c0000000000"},
+    {"delta after ingest", MsgType::kDeltaReply,
+     "02010201028702be010200be0108001046af0151015c01060111011c"
+     "01270132013d01480153015e01080113011e012901280010589f010d"
+     "0218013903440104032503300151035c0111021c013d034801080329"
+     "032a010b050b00052c04580418034404040330045c041c0348040803"
+     "2c01030304580e44075c0b4807000100010000000000000000000000"
+     "00be0108001046af0151015c01060111011c01270132013d01480153"
+     "015e01080113011e0129012800104d9e01020218025a0604010f0130"
+     "033b01460151015c0127043d02080413011e01260307020101010307"
+     "37080204180204070f0113121e010001050302180e04070001030102"
+     "180f04070001010101041600000000000000"},
+    {"unchanged", MsgType::kDeltaReply, "030102020200"},
+    {"subscribe ack", MsgType::kPushUpdate,
+     "04010102be0100019602be0102be01081046af0151015c0106011101"
+     "1c01270132013d01480153015e01080113011e01290110589f010d02"
+     "18013903440104032503300151035c0111021c013d03480108032903"
+     "10648401240138064c060c0100052c04580418034404040330045c04"
+     "1c034804080307507e64064c0d580e44075c0b480701648401000000"
+     "08ae019e017f0000000000be01081046af0151015c01060111011c01"
+     "270132013d01480153015e01080113011e012901104d9e0102021802"
+     "5a0604010f0130033b01460151015c0127043d02080413011e010d50"
+     "7e09095d054c053102560137080204180204070f0113121e01050987"
+     "01310c5601180e040703319301180f0407023193010416000008ae01"
+     "9c012c0000000000"},
+    {"hello after ingest", MsgType::kHelloAck, "02000240dc0101"},
+    {"push delta", MsgType::kPushUpdate,
+     "04020102dc0101028e02dc010200dc0108001004cd0111011e012b01"
+     "3801450152010601130120012d013a0147015401080115011e001000"
+     "bf010d01340341011c0429015003040111013803450120042d015403"
+     "080115011a0307030102010109000734041c05500404013804200554"
+     "04080105010304025014540e0000000000000000000000000001dc01"
+     "081004cd0111011e012b013801450152010601130120012d013a0147"
+     "015401080115011027c201410202020f013603500204011e022b0113"
+     "0520012d013a014701080215010e18a201412202020f01500504011e"
+     "022b01130520012d013a01470115030618a201042b20092d01470215"
+     "030418a201042b2d0a47020104cd01000008cc01b7012c0000000000"},
+};
+
+constexpr GoldenStep kGoldenCountPush[] = {
+    {"hello", MsgType::kHelloAck, "01000240960101"},
+    {"subscribe ack", MsgType::kPushUpdate,
+     "01010101960100019601960102960108107f02010201020102010201"
+     "02010201021069010201020102010201020102010201065701020102"
+     "0106570102010201015701570000087e67460000000000960108107f"
+     "020102010201020102010201020102105e0305060301030605060303"
+     "030103050b5a030f0409050606030405075a032706030405045a0334"
+     "0502910105019101019101087e5d000000000000"},
+    {"hello after ingest", MsgType::kHelloAck, "01000240be0101"},
+    {"push delta", MsgType::kPushUpdate,
+     "01020101be0101024ebe010200be0108080801050505050505050c0f"
+     "000006000006000001000001000000000000000000be010808080105"
+     "0505050505050c090206190106011f00020000020000000000000000"
+     "000000"},
+};
+
+template <std::size_t N>
+void expect_golden(const std::vector<Frame>& got,
+                   const GoldenStep (&want)[N]) {
+  ASSERT_EQ(got.size(), N);
+  for (std::size_t i = 0; i < N; ++i) {
+    SCOPED_TRACE(want[i].what);
+    EXPECT_EQ(got[i].type, want[i].type);
+    EXPECT_EQ(to_hex(got[i].payload), want[i].payload_hex);
+  }
+}
+
+// Subscribes `role` with a one-item slack and no timely drift timer,
+// runs `ingest`, then sends a Hello; appends the ack, the HelloAck and the
+// drift push to `got`.
+template <class Ingest>
+void golden_push(RawConn& c, PartyRole role, std::uint64_t request_id,
+                 Ingest&& ingest, std::vector<Frame>& got) {
+  SubscribeRequest sub;
+  sub.request_id = request_id;
+  sub.role = role;
+  sub.n = 64;
+  sub.has_slack = true;
+  sub.slack = 1;
+  sub.check_every_ms = 60000;
+  got.push_back(c.exchange(MsgType::kSubscribe, sub.encode()));
+  ingest();
+  got.push_back(c.exchange(MsgType::kHello, Hello{42}.encode()));
+  Frame push;
+  EXPECT_EQ(read_frame(c.sock, push, soon()), ReadStatus::kOk);
+  got.push_back(push);
+}
+
+TEST(NetLoopGolden, DistinctChainAndPushDeltasMatchConstants) {
+  {
+    const core::DistinctWave::Params p{
+        .eps = 0.5, .window = 64, .max_value = 255, .c = 4};
+    distributed::DistinctParty party(p, 2, 77);
+    for (std::uint64_t i = 0; i < 150; ++i) party.observe((i * 37) % 101);
+    ServerConfig cfg;
+    cfg.generation = 1;
+    PartyServer server(cfg, &party);
+    ASSERT_TRUE(server.start());
+    RawConn c = RawConn::open(server.port());
+
+    std::vector<Frame> got;
+    got.push_back(c.exchange(MsgType::kHello, Hello{42}.encode()));
+    auto last_cursor = [&got] {
+      DeltaReply r;
+      EXPECT_TRUE(DeltaReply::decode(got.back().payload, r));
+      return r.cursor;
+    };
+    SnapshotRequest req;
+    req.request_id = 1;
+    req.role = PartyRole::kDistinct;
+    req.n = 64;
+    req.delta_capable = true;
+    req.since_cursor = 0;
+    got.push_back(c.exchange(MsgType::kSnapshotRequest, req.encode()));
+
+    for (std::uint64_t i = 0; i < 40; ++i) party.observe((i * 11) % 97);
+    req.request_id = 2;
+    req.since_cursor = last_cursor();
+    got.push_back(c.exchange(MsgType::kSnapshotRequest, req.encode()));
+
+    req.request_id = 3;
+    req.since_cursor = last_cursor();
+    got.push_back(c.exchange(MsgType::kSnapshotRequest, req.encode()));
+
+    golden_push(
+        c, PartyRole::kDistinct, 4,
+        [&party] {
+          for (std::uint64_t i = 0; i < 30; ++i) party.observe((i * 13) % 89);
+        },
+        got);
+    expect_golden(got, kGoldenDistinct);
+  }
+  {
+    const core::RandWave::Params p{.eps = 0.5, .window = 64, .c = 4};
+    distributed::CountParty party(p, 2, 77);
+    for (int i = 0; i < 150; ++i) party.observe((i % 3) != 1);
+    ServerConfig cfg;
+    cfg.generation = 1;
+    PartyServer server(cfg, &party);
+    ASSERT_TRUE(server.start());
+    RawConn c = RawConn::open(server.port());
+
+    std::vector<Frame> got;
+    got.push_back(c.exchange(MsgType::kHello, Hello{42}.encode()));
+    golden_push(
+        c, PartyRole::kCount, 1,
+        [&party] {
+          for (int i = 0; i < 40; ++i) party.observe((i % 5) == 0);
+        },
+        got);
+    expect_golden(got, kGoldenCountPush);
   }
 }
 
