@@ -5,8 +5,8 @@
 // round only needs the *edit* since its mirror — bytes proportional to the
 // items ingested between rounds (Theorems 5-7 charge the synopsis transfer
 // per query; the delta path amortizes it across rounds) — plus persistent
-// connections, a decoded-snapshot cache, and parallel combine on the
-// referee. The full baseline is a cold referee: a fresh client per round
+// connections and a serial, allocation-free combine on the referee. The
+// full baseline is a cold referee: a fresh client per round
 // (built outside the timed span), so every timed query pays connect, Hello
 // and the self-contained full-form DeltaReply per party. Every round is
 // asserted bit-identical across both clients and the in-process referee;

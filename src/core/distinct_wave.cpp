@@ -207,10 +207,6 @@ Estimate referee_distinct_count(
     UnionScratch& scratch) {
   assert(!snapshots.empty());
   const std::uint64_t pos = snapshots.front()->stream_len;
-  for (const DistinctSnapshot* snap : snapshots) {
-    assert(snap->stream_len == pos && "aligned streams required");
-    (void)snap;
-  }
   const std::uint64_t s = pos > n ? pos - n + 1 : 1;
 
   int lstar = 0;

@@ -135,11 +135,12 @@ void snapshot_from_checkpoint_into(const DistinctWaveCheckpoint& ck,
                                    std::uint64_t n, std::uint64_t window,
                                    DistinctSnapshot& out);
 
-/// Referee half: levelwise union scaled by 2^l*. `predicate`, when set,
-/// restricts the count to values satisfying it (selectivity-alpha queries
-/// need queues of size c/(alpha eps^2); see extensions/predicate_sample).
-/// The snapshots are read in place and `scratch` is the only memory the
-/// union writes.
+/// Referee half: levelwise union scaled by 2^l* over snapshots with equal
+/// stream lengths (distributed::distinct_count checks it and fails the
+/// round closed otherwise). `predicate`, when set, restricts the count
+/// to values satisfying it (selectivity-alpha queries need queues of size
+/// c/(alpha eps^2); see extensions/predicate_sample). The snapshots are
+/// read in place and `scratch` is the only memory the union writes.
 [[nodiscard]] Estimate referee_distinct_count(
     std::span<const DistinctSnapshot* const> snapshots, std::uint64_t n,
     const gf2::ExpHash& hash,

@@ -137,13 +137,14 @@ class RandWave {
 
 /// Same result written into `out`, reusing its positions capacity — the
 /// steady-state form for callers that rebuild snapshots every round (the
-/// referee's decoded-snapshot cache).
+/// referee's delta-chain mirrors).
 void snapshot_from_checkpoint_into(const RandWaveCheckpoint& ck,
                                    std::uint64_t n, RandWaveSnapshot& out);
 
 /// Referee half of the protocol (Fig. 6 steps 2-3): snapshots from t
-/// parties with equal stream lengths, window of n items, and the shared
-/// hash. Returns 2^l* * |union of filtered queues|. Each snapshot's
+/// parties with equal stream lengths (distributed::union_count checks it
+/// and fails the round closed otherwise), window of n items, and the
+/// shared hash. Returns 2^l* * |union of filtered queues|. Each snapshot's
 /// positions must ascend strictly, as every wave and wire decoder yields
 /// them; the snapshots are read in place and `scratch` is the only memory
 /// the merge writes.

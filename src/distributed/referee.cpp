@@ -77,6 +77,33 @@ std::string quorum_error(const char* protocol,
   return msg;
 }
 
+// The positionwise union (Fig. 6, Sec. 5) is defined only over aligned
+// streams. Empty when every snapshot has the same stream length; else the
+// fail-closed error naming each party's, so a party that answered at
+// another position ends the round typed instead of reaching the combine.
+template <class Snapshot>
+std::string misalignment(const char* protocol,
+                         const std::vector<std::vector<Snapshot>>& by_party) {
+  const Snapshot* first = nullptr;
+  bool aligned = true;
+  for (const auto& snaps : by_party) {
+    for (const Snapshot& s : snaps) {
+      if (first == nullptr) first = &s;
+      aligned = aligned && s.stream_len == first->stream_len;
+    }
+  }
+  if (aligned) return {};
+  std::string msg = std::string(protocol) +
+                    " fails closed: parties answered at different stream"
+                    " lengths:";
+  for (std::size_t j = 0; j < by_party.size(); ++j) {
+    msg += " party " + std::to_string(j) + "=" +
+           (by_party[j].empty() ? "-"
+                                : std::to_string(by_party[j][0].stream_len));
+  }
+  return msg;
+}
+
 // Fig. 6 steps 2-3 / Sec. 5 levelwise union, per instance, then the
 // median over instances — identical for every transport. Each instance's
 // combine sees a view of the parties' snapshots where collect left them.
@@ -284,9 +311,11 @@ QueryResult union_count(CountSnapshotSource& source, std::uint64_t n,
   CollectStats info;
   source.collect_into(n, r.missing, stats, info, buffers.by_party);
   span.set("missing", static_cast<double>(r.missing.size()));
-  if (!r.missing.empty()) {
+  r.error = r.missing.empty()
+                ? misalignment("union counting", buffers.by_party)
+                : quorum_error("union counting", r.missing);
+  if (!r.error.empty()) {
     finish_round(metrics, span, source.party_count(), info);
-    r.error = quorum_error("union counting", r.missing);
     r.estimate = core::Estimate{0.0, false, n};
     return r;
   }
@@ -318,9 +347,11 @@ QueryResult distinct_count(DistinctSnapshotSource& source, std::uint64_t n,
   CollectStats info;
   source.collect_into(n, r.missing, stats, info, buffers.by_party);
   span.set("missing", static_cast<double>(r.missing.size()));
-  if (!r.missing.empty()) {
+  r.error = r.missing.empty()
+                ? misalignment("distinct values", buffers.by_party)
+                : quorum_error("distinct values", r.missing);
+  if (!r.error.empty()) {
     finish_round(metrics, span, source.party_count(), info);
-    r.error = quorum_error("distinct values", r.missing);
     r.estimate = core::Estimate{0.0, false, n};
     return r;
   }

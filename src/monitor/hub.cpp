@@ -8,38 +8,39 @@
 #include "distributed/wire.hpp"
 #include "obs/monitor_obs.hpp"
 #include "obs/net_obs.hpp"
-#include "recovery/checkpoint.hpp"
-#include "recovery/delta.hpp"
 
 namespace waves::monitor {
 
 using distributed::Bytes;
 
-// Mirror-backed snapshot sources: the same SnapshotSource contract the TCP
+// Mirror-backed snapshot source: the same SnapshotSource contract the TCP
 // and in-process paths implement, so recompute() runs the identical
 // union/median code — that, plus snapshots derived by the same
-// snapshot_from_checkpoint codepath the polling client uses, is what makes
-// a hub estimate byte-identical to a poll of the same party states.
-// collect_into() runs under mu_ (recompute holds it) and derives each live
-// mirror's snapshots straight into the hub's round buffers, which mu_ also
-// guards.
-class MirrorCountSource final : public distributed::CountSnapshotSource {
+// recovery::Mirror the polling client uses, is what makes a hub estimate
+// byte-identical to a poll of the same party states. collect_into() runs
+// under mu_ (recompute holds it) and derives each live mirror's snapshots
+// straight into the hub's round buffers, which mu_ also guards.
+template <class Source, class Party, class Checkpoint>
+class MirrorSource final : public Source {
  public:
-  explicit MirrorCountSource(MonitorHub& hub) : hub_(hub) {}
+  using Snapshot = typename recovery::Mirror<Checkpoint>::Snapshot;
+  using Slot = recovery::Mirror<Checkpoint> MonitorHub::PartyMirror::*;
+
+  MirrorSource(MonitorHub& hub, const Party* ref, Slot slot,
+               std::uint64_t window)
+      : hub_(hub), ref_(ref), slot_(slot), window_(window) {}
   [[nodiscard]] std::size_t party_count() const override {
     return hub_.mirrors_.size();
   }
   [[nodiscard]] int instances() const override { return hub_.cfg_.instances; }
   [[nodiscard]] const gf2::ExpHash& hash(int instance) const override {
-    return hub_.count_ref_->instance(instance).hash();
+    return ref_->instance(instance).hash();
   }
   [[nodiscard]] const char* transport() const override { return "push"; }
-  void collect_into(
-      std::uint64_t n, std::vector<std::size_t>& missing,
-      distributed::WireStats* stats, distributed::CollectStats& info,
-      std::vector<std::vector<core::RandWaveSnapshot>>& out) override {
-    (void)stats;
-    (void)info;
+  void collect_into(std::uint64_t n, std::vector<std::size_t>& missing,
+                    distributed::WireStats* /*stats*/,
+                    distributed::CollectStats& /*info*/,
+                    std::vector<std::vector<Snapshot>>& out) override {
     out.resize(hub_.mirrors_.size());
     for (std::size_t i = 0; i < hub_.mirrors_.size(); ++i) {
       const MonitorHub::PartyMirror& m = hub_.mirrors_[i];
@@ -48,54 +49,15 @@ class MirrorCountSource final : public distributed::CountSnapshotSource {
         out[i].clear();
         continue;
       }
-      out[i].resize(m.count_base.waves.size());
-      for (std::size_t k = 0; k < m.count_base.waves.size(); ++k) {
-        core::snapshot_from_checkpoint_into(m.count_base.waves[k], n,
-                                            out[i][k]);
-      }
+      (m.*slot_).snapshots_into(n, window_, out[i]);
     }
   }
 
  private:
   MonitorHub& hub_;
-};
-
-class MirrorDistinctSource final : public distributed::DistinctSnapshotSource {
- public:
-  explicit MirrorDistinctSource(MonitorHub& hub) : hub_(hub) {}
-  [[nodiscard]] std::size_t party_count() const override {
-    return hub_.mirrors_.size();
-  }
-  [[nodiscard]] int instances() const override { return hub_.cfg_.instances; }
-  [[nodiscard]] const gf2::ExpHash& hash(int instance) const override {
-    return hub_.distinct_ref_->instance(instance).hash();
-  }
-  [[nodiscard]] const char* transport() const override { return "push"; }
-  void collect_into(
-      std::uint64_t n, std::vector<std::size_t>& missing,
-      distributed::WireStats* stats, distributed::CollectStats& info,
-      std::vector<std::vector<core::DistinctSnapshot>>& out) override {
-    (void)stats;
-    (void)info;
-    const std::uint64_t window = hub_.cfg_.distinct_params.window;
-    out.resize(hub_.mirrors_.size());
-    for (std::size_t i = 0; i < hub_.mirrors_.size(); ++i) {
-      const MonitorHub::PartyMirror& m = hub_.mirrors_[i];
-      if (!m.live) {
-        missing.push_back(i);
-        out[i].clear();
-        continue;
-      }
-      out[i].resize(m.distinct_base.waves.size());
-      for (std::size_t k = 0; k < m.distinct_base.waves.size(); ++k) {
-        core::snapshot_from_checkpoint_into(m.distinct_base.waves[k], n,
-                                            window, out[i][k]);
-      }
-    }
-  }
-
- private:
-  MonitorHub& hub_;
+  const Party* ref_;  // hash oracle
+  Slot slot_;
+  std::uint64_t window_;
 };
 
 MonitorHub::MonitorHub(HubConfig cfg)
@@ -177,55 +139,51 @@ void MonitorHub::recompute() {
     // Pushes from different parties land at different instants, so the
     // mirrors sit at different stream positions between push waves. The
     // Scenario-3 positionwise union is only defined over aligned streams
-    // (referee_union_count asserts it), so with every leg live the merge
-    // waits for the laggards' pushes to realign the mirrors; the standing
-    // estimate keeps serving reads meanwhile — exactly the staleness the
-    // slack shares budget for. A dead leg skips the union math entirely
-    // (fail closed), so misalignment can't block that publication.
+    // (distributed::union_count fails a misaligned round closed), so with
+    // every leg live the merge waits for the laggards' pushes to realign
+    // the mirrors; the standing estimate keeps serving reads meanwhile —
+    // exactly the staleness the slack shares budget for. A dead leg skips
+    // the union math entirely (fail closed), so misalignment can't block
+    // that publication.
     if (cfg_.role == net::PartyRole::kCount ||
         cfg_.role == net::PartyRole::kDistinct) {
-      bool all_live = true;
-      bool aligned = true;
-      std::uint64_t pos = 0;
-      bool first = true;
-      for (const PartyMirror& m : mirrors_) {
-        if (!m.live) {
-          all_live = false;
-          break;
-        }
-        const std::uint64_t c = cfg_.role == net::PartyRole::kCount
-                                    ? m.count_base.cursor
-                                    : m.distinct_base.cursor;
-        if (first) {
-          pos = c;
-          first = false;
-        } else if (c != pos) {
-          aligned = false;
-        }
+      const auto pos = [this](const PartyMirror& m) {
+        return cfg_.role == net::PartyRole::kCount
+                   ? m.count.checkpoint().cursor
+                   : m.distinct.checkpoint().cursor;
+      };
+      const auto live = [](const PartyMirror& m) { return m.live; };
+      const auto behind = [&](const PartyMirror& m) {
+        return pos(m) != pos(mirrors_.front());
+      };
+      if (std::all_of(mirrors_.begin(), mirrors_.end(), live) &&
+          std::any_of(mirrors_.begin(), mirrors_.end(), behind)) {
+        return;
       }
-      if (all_live && !aligned) return;
     }
+    const auto publish = [&next](const distributed::QueryResult& qr) {
+      next.status = qr.status;
+      next.value = qr.estimate.value;
+      next.exact = qr.estimate.exact;
+      next.missing = qr.missing.size();
+      next.error_slack = qr.error_slack;
+    };
     switch (cfg_.role) {
       case net::PartyRole::kCount: {
-        MirrorCountSource src(*this);
-        const distributed::QueryResult qr =
-            distributed::union_count(src, cfg_.n, nullptr, count_round_);
-        next.status = qr.status;
-        next.value = qr.estimate.value;
-        next.exact = qr.estimate.exact;
-        next.missing = qr.missing.size();
-        next.error_slack = qr.error_slack;
+        MirrorSource<distributed::CountSnapshotSource, distributed::CountParty,
+                     distributed::CountPartyCheckpoint>
+            src(*this, count_ref_.get(), &PartyMirror::count, 0);
+        publish(distributed::union_count(src, cfg_.n, nullptr, count_round_));
         break;
       }
       case net::PartyRole::kDistinct: {
-        MirrorDistinctSource src(*this);
-        const distributed::QueryResult qr = distributed::distinct_count(
-            src, cfg_.n, nullptr, {}, distinct_round_);
-        next.status = qr.status;
-        next.value = qr.estimate.value;
-        next.exact = qr.estimate.exact;
-        next.missing = qr.missing.size();
-        next.error_slack = qr.error_slack;
+        MirrorSource<distributed::DistinctSnapshotSource,
+                     distributed::DistinctParty,
+                     distributed::DistinctPartyCheckpoint>
+            src(*this, distinct_ref_.get(), &PartyMirror::distinct,
+                cfg_.distinct_params.window);
+        publish(distributed::distinct_count(src, cfg_.n, nullptr, {},
+                                            distinct_round_));
         break;
       }
       case net::PartyRole::kBasic:
@@ -284,61 +242,25 @@ bool MonitorHub::apply_push(std::size_t i, const net::PushUpdate& u,
   PartyMirror& m = mirrors_[i];
   const auto expected =
       static_cast<std::size_t>(std::max(cfg_.instances, 0));
+  // Folds the push into the role's checkpoint mirror; false on any cursor,
+  // codec or instance-count mismatch.
+  auto fold = [&](auto& mirror) {
+    if (!mirror.apply(u.base_cursor, u.cursor, u.body, err)) return false;
+    const std::size_t got = mirror.checkpoint().waves.size();
+    if (expected > 0 && got != expected) {
+      err = "push carries " + std::to_string(got) + " instances, wanted " +
+            std::to_string(expected);
+      return false;
+    }
+    return true;
+  };
   switch (cfg_.role) {
-    case net::PartyRole::kCount: {
-      if (u.base_cursor == 0) {
-        distributed::CountPartyCheckpoint ck;
-        if (!recovery::decode(u.body, ck)) {
-          err = "undecodable full push body";
-          return false;
-        }
-        m.count_base = std::move(ck);
-      } else {
-        if (m.cursor == 0 || u.base_cursor != m.cursor) {
-          err = "delta against a baseline this mirror does not hold";
-          return false;
-        }
-        if (!recovery::apply_delta_into(m.count_base, u.body,
-                                        m.count_scratch)) {
-          err = "undecodable delta push body";
-          return false;
-        }
-        std::swap(m.count_base, m.count_scratch);
-      }
-      if (expected > 0 && m.count_base.waves.size() != expected) {
-        err = "push carries " + std::to_string(m.count_base.waves.size()) +
-              " instances, wanted " + std::to_string(expected);
-        return false;
-      }
+    case net::PartyRole::kCount:
+      if (!fold(m.count)) return false;
       break;
-    }
-    case net::PartyRole::kDistinct: {
-      if (u.base_cursor == 0) {
-        distributed::DistinctPartyCheckpoint ck;
-        if (!recovery::decode(u.body, ck)) {
-          err = "undecodable full push body";
-          return false;
-        }
-        m.distinct_base = std::move(ck);
-      } else {
-        if (m.cursor == 0 || u.base_cursor != m.cursor) {
-          err = "delta against a baseline this mirror does not hold";
-          return false;
-        }
-        if (!recovery::apply_delta_into(m.distinct_base, u.body,
-                                        m.distinct_scratch)) {
-          err = "undecodable delta push body";
-          return false;
-        }
-        std::swap(m.distinct_base, m.distinct_scratch);
-      }
-      if (expected > 0 && m.distinct_base.waves.size() != expected) {
-        err = "push carries " + std::to_string(m.distinct_base.waves.size()) +
-              " instances, wanted " + std::to_string(expected);
-        return false;
-      }
+    case net::PartyRole::kDistinct:
+      if (!fold(m.distinct)) return false;
       break;
-    }
     case net::PartyRole::kBasic:
     case net::PartyRole::kSum: {
       std::size_t at = 0;
@@ -357,6 +279,8 @@ bool MonitorHub::apply_push(std::size_t i, const net::PushUpdate& u,
       }
       m.value = v;
       m.exact = exact == 1;
+      m.cursor = u.cursor;
+      m.generation = u.generation;
       break;
     }
     case net::PartyRole::kAgg:
@@ -364,9 +288,6 @@ bool MonitorHub::apply_push(std::size_t i, const net::PushUpdate& u,
       return false;
   }
   m.live = true;
-  m.generation = u.generation;
-  m.cursor = u.cursor;
-  m.seq = u.seq;
   return true;
 }
 
@@ -418,9 +339,17 @@ void MonitorHub::leg_loop(std::size_t i, const std::stop_token& st) {
         {
           std::lock_guard lk(mu_);
           PartyMirror& m = mirrors_[i];
-          if (m.cursor != 0 && ack.generation != m.generation) {
-            m = PartyMirror{};
-            resync = true;
+          switch (cfg_.role) {
+            case net::PartyRole::kCount:
+              resync = m.count.enter_epoch(ack.generation);
+              break;
+            case net::PartyRole::kDistinct:
+              resync = m.distinct.enter_epoch(ack.generation);
+              break;
+            default:
+              resync = m.cursor != 0 && ack.generation != m.generation;
+              if (resync) m.cursor = 0;
+              break;
           }
         }
         if (resync) {

@@ -47,6 +47,7 @@
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
+#include "recovery/delta_chain.hpp"
 
 namespace waves::monitor {
 
@@ -138,21 +139,22 @@ class MonitorHub {
       std::uint64_t after, std::chrono::milliseconds timeout) const;
 
  private:
-  friend class MirrorCountSource;
-  friend class MirrorDistinctSource;
+  template <class Source, class Party, class Checkpoint>
+  friend class MirrorSource;
 
-  /// One party's pushed state: the checkpoint mirror the push chain edits.
+  /// One party's pushed state.
   struct PartyMirror {
     bool live = false;
-    std::uint64_t generation = 0;
-    std::uint64_t cursor = 0;  // push-chain cursor held (0 = no state)
-    std::uint64_t seq = 0;     // last push seq applied
-    distributed::CountPartyCheckpoint count_base;
-    distributed::CountPartyCheckpoint count_scratch;
-    distributed::DistinctPartyCheckpoint distinct_base;
-    distributed::DistinctPartyCheckpoint distinct_scratch;
-    double value = 0.0;  // basic/sum local total
+    // count/distinct: the checkpoint mirror the push chain edits (only the
+    // role's flavour is used).
+    recovery::Mirror<distributed::CountPartyCheckpoint> count;
+    recovery::Mirror<distributed::DistinctPartyCheckpoint> distinct;
+    // basic/sum: the local total, and the push cursor and epoch it came
+    // under (cursor 0 = none yet).
+    double value = 0.0;
     bool exact = false;
+    std::uint64_t cursor = 0;
+    std::uint64_t generation = 0;
   };
 
   void leg_loop(std::size_t i, const std::stop_token& st);

@@ -13,8 +13,6 @@
 #include "obs/recovery_obs.hpp"
 #include "obs/supervise_obs.hpp"
 #include "obs/trace.hpp"
-#include "recovery/checkpoint.hpp"
-#include "recovery/delta.hpp"
 
 namespace waves::net {
 
@@ -75,87 +73,12 @@ ClientConfig with_instances(ClientConfig cfg, int instances) {
 }
 
 // Clears `f` to a fresh record except for its snapshot vectors, which keep
-// their capacity for the next copy out of the decoded-snapshot cache.
+// their capacity for the snapshots the next reply derives into them.
 void reset_keeping_buffers(Fetch& f) {
   Fetch fresh;
   fresh.count_snapshots = std::move(f.count_snapshots);
   fresh.distinct_snapshots = std::move(f.distinct_snapshots);
   f = std::move(fresh);
-}
-
-// Folds a decoded DeltaReply into the party's mirror and produces the
-// decoded per-instance snapshots through the (cursor, n) cache, copied
-// over `out` (the caller's buffers, whose capacity the copy reuses).
-// `since` is the since_cursor the request carried; `snap_into` derives one
-// snapshot from one wave checkpoint in place (count: (ck, out); distinct
-// adds the window), reusing the cache entry's buffers across rounds. False
-// on any cursor/codec mismatch — the caller treats it as a protocol error
-// and drops the connection.
-template <class Checkpoint, class Snapshot, class SnapInto>
-bool apply_delta_reply(const DeltaReply& r, std::uint64_t since,
-                       std::uint64_t generation, std::uint64_t n,
-                       DeltaMirror<Checkpoint, Snapshot>& m,
-                       std::vector<Snapshot>& out, Fetch& f, std::string& err,
-                       SnapInto&& snap_into) {
-  const auto& obs = obs::NetClientObs::instance();
-  if (r.body.empty()) {
-    // "Unchanged" echo: only meaningful against the cursor we asked about.
-    if (since == 0 || r.cursor != since || r.base_cursor != since ||
-        m.cursor != since) {
-      err = "empty delta body without a matching cursor";
-      return false;
-    }
-  } else if (r.base_cursor == 0) {
-    // Self-contained full body: bootstrap, stale cursor, or server restart.
-    Checkpoint now;
-    if (!recovery::decode(r.body, now)) {
-      err = "undecodable full checkpoint body";
-      return false;
-    }
-    m.base = std::move(now);
-    m.cursor = r.cursor;
-    m.generation = generation;
-    m.cache_valid = false;
-    obs.delta_full.add();
-  } else if (since != 0 && r.base_cursor == since && m.cursor == since) {
-    // Steady-state path: apply into the mirror's scratch and swap, so the
-    // retired baseline's vectors carry their capacity into next round. On
-    // failure scratch is garbage but unread; base stays the valid mirror.
-    if (!recovery::apply_delta_into(m.base, r.body, m.scratch)) {
-      err = "undecodable delta body";
-      return false;
-    }
-    std::swap(m.base, m.scratch);
-    m.cursor = r.cursor;
-    m.cache_valid = false;
-    f.delta_applied = true;
-    obs.delta_replies.add();
-  } else {
-    err = "delta reply against a cursor we do not hold";
-    return false;
-  }
-
-  if (m.cache_valid && m.cache_cursor == m.cursor && m.cache_n == n) {
-    obs.snapshot_cache_hits.add();
-    f.cache_hit = true;
-    out = m.cache;
-    return true;
-  }
-  obs.snapshot_cache_misses.add();
-  // Rebuild the decoded-snapshot cache in place — each entry keeps its
-  // buffer capacity from the previous round — then copy it over the
-  // caller's buffers (the cache must survive for the next hit).
-  // Building into the cache instead of building fresh and copying into it
-  // halves the snapshot allocations of a steady-state delta round (E18).
-  m.cache.resize(m.base.waves.size());
-  for (std::size_t i = 0; i < m.base.waves.size(); ++i) {
-    snap_into(m.base.waves[i], m.cache[i]);
-  }
-  m.cache_cursor = m.cursor;
-  m.cache_n = n;
-  m.cache_valid = true;
-  out = m.cache;
-  return true;
 }
 
 }  // namespace
@@ -264,13 +187,8 @@ void RefereeClient::attempt(std::size_t party, PartyRole role,
     // the baseline was taken: the server-side delta state died with it, so
     // drop ours and bootstrap with a full fetch. Not an error — the round
     // proceeds normally.
-    if (link.count.cursor != 0 && ack.generation != link.count.generation) {
-      link.count = {};
-    }
-    if (link.distinct.cursor != 0 &&
-        ack.generation != link.distinct.generation) {
-      link.distinct = {};
-    }
+    link.count.enter_epoch(ack.generation);
+    link.distinct.enter_epoch(ack.generation);
     link.ack = ack;
   }
   const HelloAck& ack = link.ack;
@@ -306,8 +224,8 @@ void RefereeClient::attempt(std::size_t party, PartyRole role,
       role == PartyRole::kCount || role == PartyRole::kDistinct;
   if (is_delta_role) {
     req.delta_capable = true;
-    req.since_cursor = role == PartyRole::kCount ? link.count.cursor
-                                                 : link.distinct.cursor;
+    req.since_cursor = role == PartyRole::kCount ? link.count.cursor()
+                                                 : link.distinct.cursor();
   }
   // Trace context rides the request (extension tag 2): the party's
   // server-side spans join this fetch's trace.
@@ -385,32 +303,27 @@ void RefereeClient::attempt(std::size_t party, PartyRole role,
     }
     f.delta_reply = true;
     f.decode_s += lap();
+    // Fold the body into the role's mirror, then derive this round's
+    // snapshots from it straight into the caller's buffers.
     std::string err;
-    bool ok = false;
     std::size_t got = 0;
-    if (role == PartyRole::kCount) {
-      ok = apply_delta_reply(r, req.since_cursor, ack.generation, n,
-                             link.count, f.count_snapshots, f, err,
-                             [&](const core::RandWaveCheckpoint& ck,
-                                 core::RandWaveSnapshot& snap) {
-                               core::snapshot_from_checkpoint_into(ck, n,
-                                                                   snap);
-                             });
-      got = f.count_snapshots.size();
-    } else {
-      ok = apply_delta_reply(r, req.since_cursor, ack.generation, n,
-                             link.distinct, f.distinct_snapshots, f, err,
-                             [&](const core::DistinctWaveCheckpoint& ck,
-                                 core::DistinctSnapshot& snap) {
-                               core::snapshot_from_checkpoint_into(
-                                   ck, n, ack.window, snap);
-                             });
-      got = f.distinct_snapshots.size();
-    }
+    auto fold = [&](auto& mirror, auto& snapshots) {
+      if (!mirror.apply(r.base_cursor, r.cursor, r.body, err)) return false;
+      mirror.snapshots_into(n, ack.window, snapshots);
+      got = snapshots.size();
+      return true;
+    };
+    const bool ok = role == PartyRole::kCount
+                        ? fold(link.count, f.count_snapshots)
+                        : fold(link.distinct, f.distinct_snapshots);
     if (!ok) {
       fail(FetchStatus::kProtocolError, std::move(err));
       f.apply_s += lap();
       return;
+    }
+    if (!r.body.empty()) {
+      f.delta_applied = r.base_cursor != 0;
+      (f.delta_applied ? obs.delta_replies : obs.delta_full).add();
     }
     if (expected > 0 && got != expected) {
       fail(FetchStatus::kProtocolError,
@@ -672,7 +585,6 @@ void RefereeClient::fetch_into(std::size_t party, PartyRole role,
   rec.reused_connection = result.reused_connection;
   rec.delta_reply = result.delta_reply;
   rec.delta_applied = result.delta_applied;
-  rec.cache_hit = result.cache_hit;
   rec.connect_s = connect_s;
   rec.send_s = send_s;
   rec.wait_s = wait_s;
@@ -725,8 +637,8 @@ void RefereeClient::fetch_all_into(PartyRole role, std::uint64_t n,
 namespace {
 
 // One referee round over the network into the caller's buffers: each
-// party's slot of `out` is lent to its Fetch, so the copy out of the
-// client's snapshot cache reuses the slot's capacity, and is then taken
+// party's slot of `out` is lent to its Fetch, so the snapshots derived
+// from the party's mirror reuse the slot's capacity, and is then taken
 // back. A failed party, or one answering with the wrong instance count
 // (combine_median indexes every party at [0, instances)), ends up empty
 // and in `missing`.

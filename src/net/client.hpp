@@ -12,13 +12,13 @@
 // per party, so a round costs max-latency, not sum.
 //
 // Query path (count/distinct roles): the client mirrors each party's last
-// checkpoint and asks for DeltaReply bodies against it, so steady-state
-// rounds transfer the *edit* since the previous round instead of the full
-// synopsis; the first round (cursor 0) gets the self-contained full form.
-// Decoded per-instance snapshots are cached keyed (party generation,
-// cursor, n); an "unchanged" reply is a cache hit that decodes nothing. A
-// generation bump at handshake (the party restarted) silently drops the
-// mirror and bootstraps with a full fetch.
+// checkpoint (recovery::Mirror) and asks for DeltaReply bodies against it,
+// so steady-state rounds transfer the *edit* since the previous round
+// instead of the full synopsis; the first round (cursor 0) gets the
+// self-contained full form. Each round derives the per-instance snapshots
+// from the mirror straight into the caller's buffers. A generation bump at
+// handshake (the party restarted) silently drops the mirror and
+// bootstraps with a full fetch.
 //
 // NetworkCountSource / NetworkDistinctSource adapt the client to the
 // referee's SnapshotSource interface: the snapshot bytes come off the
@@ -45,6 +45,7 @@
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "obs/trace.hpp"
+#include "recovery/delta_chain.hpp"
 
 namespace waves::net {
 
@@ -120,7 +121,6 @@ struct Fetch {
   bool reused_connection = false;  // keep-alive socket, no new handshake
   bool delta_reply = false;        // DeltaReply decoded (count/distinct)
   bool delta_applied = false;      // body was a diff applied to the mirror
-  bool cache_hit = false;          // snapshots came from the decoded cache
   std::string error;
 
   // Flight-recorder facts: the trace this fetch joined, allocations during
@@ -145,24 +145,6 @@ struct Fetch {
   AggReply agg;
 
   [[nodiscard]] bool ok() const noexcept { return status == FetchStatus::kOk; }
-};
-
-/// Client-side delta state for one party and one checkpoint flavor: the
-/// mirrored baseline the server diffs against, plus the decoded snapshots
-/// derived from it, cached under the (cursor, n) they were built for. The
-/// owning PartyLink's generation handling invalidates both on restart.
-template <class Checkpoint, class Snapshot>
-struct DeltaMirror {
-  std::uint64_t cursor = 0;      // server cursor of `base`; 0 = no baseline
-  std::uint64_t generation = 0;  // party epoch the mirror belongs to
-  Checkpoint base;
-  // apply_delta_into destination, ping-ponged with `base` via swap so the
-  // retired baseline's vectors become next round's capacity.
-  Checkpoint scratch;
-  bool cache_valid = false;
-  std::uint64_t cache_cursor = 0;
-  std::uint64_t cache_n = 0;
-  std::vector<Snapshot> cache;
 };
 
 class RefereeClient {
@@ -194,7 +176,7 @@ class RefereeClient {
 
   /// fetch_all into caller-kept records (resized to party_count()): each
   /// Fetch is overwritten except for the capacity of its snapshot vectors,
-  /// which the reply's snapshots are copied into.
+  /// which the reply's snapshots are derived into.
   void fetch_all_into(PartyRole role, std::uint64_t n,
                       std::vector<Fetch>& results) const;
 
@@ -205,8 +187,8 @@ class RefereeClient {
   }
 
   /// Drop every keep-alive socket (the next fetch per party reconnects).
-  /// Mirrors and caches survive — they are invalidated by generation, not
-  /// by connection lifetime.
+  /// Mirrors survive — they are invalidated by generation, not by
+  /// connection lifetime.
   void disconnect_all() const;
 
  private:
@@ -217,10 +199,9 @@ class RefereeClient {
     Socket sock;  // invalid between connections
     bool ever_connected = false;
     HelloAck ack;  // handshake of the live connection
-    DeltaMirror<distributed::CountPartyCheckpoint, core::RandWaveSnapshot>
-        count;
-    DeltaMirror<distributed::DistinctPartyCheckpoint, core::DistinctSnapshot>
-        distinct;
+    // Pull-chain mirrors; only the role's flavour is used.
+    recovery::Mirror<distributed::CountPartyCheckpoint> count;
+    recovery::Mirror<distributed::DistinctPartyCheckpoint> distinct;
     // Round-to-round scratch, all guarded by `mu`: the reply frame, the
     // encoded request, and the decoded delta reply keep their high-water
     // capacities so a steady-state keep-alive fetch allocates almost

@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <type_traits>
 #include <utility>
 
 #include "obs/export.hpp"
 #include "obs/monitor_obs.hpp"
 #include "obs/net_obs.hpp"
 #include "obs/trace.hpp"
-#include "recovery/delta.hpp"
 
 namespace waves::net {
 
@@ -223,60 +223,27 @@ HelloAck PartyServer::hello_ack() const {
   return ack;
 }
 
-template <class Party, class Checkpoint>
-void PartyServer::delta_answer(Party* party, DeltaState<Checkpoint>& st,
-                               const SnapshotRequest& req,
-                               DeltaReply& r) const {
+template <class Party, class Encoder>
+void PartyServer::pull_reply(const Party& party, PullChain<Encoder>& st,
+                             const SnapshotRequest& req,
+                             DeltaReply& r) const {
   const auto& obs = obs::NetServerObs::instance();
-  std::lock_guard lk(st.mu);
-  // Unchanged fast-path: the client's baseline is our current one and the
-  // party ingested nothing since it was taken — echo the cursor, empty
-  // body, no checkpoint walk at all.
-  if (req.since_cursor != 0 && req.since_cursor == st.serial &&
-      party->items_observed() == st.base.cursor) {
-    r.base_cursor = st.serial;
-    r.cursor = st.serial;
-    obs.delta_unchanged.add();
-    return;
-  }
-  Checkpoint now = party->checkpoint();
-  const std::uint64_t next = st.serial + 1;
-  if (req.since_cursor != 0 && req.since_cursor == st.serial) {
-    r.base_cursor = st.serial;
-    r.body = recovery::encode_delta(st.base, now);
-    obs.delta_replies.add();
-  } else {
-    // Bootstrap (since_cursor 0) or a cursor we no longer hold (another
-    // client advanced the baseline, or this process restarted): ship a
-    // self-contained full body. base_cursor 0 tells the client so.
-    r.base_cursor = 0;
-    r.body = recovery::encode(now);
-    obs.delta_full.add();
-  }
-  r.cursor = next;
-  st.serial = next;
-  st.base = std::move(now);
-}
-
-void PartyServer::count_delta_answer(const SnapshotRequest& req,
-                                     DeltaReply& r) const {
-  const auto& obs = obs::NetServerObs::instance();
-  CountDeltaState& st = count_delta_;
   std::lock_guard lk(st.mu);
   // Unchanged fast-path: the client's baseline is our current one and the
   // party ingested nothing since it was taken — echo the cursor, empty
   // body, no synopsis walk at all.
-  if (req.since_cursor != 0 && req.since_cursor == st.serial &&
-      st.baseline.valid && count_->items_observed() == st.baseline.cursor) {
-    r.base_cursor = st.serial;
-    r.cursor = st.serial;
+  if (req.since_cursor != 0 && req.since_cursor == st.chain.cursor() &&
+      party.items_observed() == st.chain.items()) {
+    r.base_cursor = st.chain.cursor();
+    r.cursor = st.chain.cursor();
     obs.delta_unchanged.add();
     return;
   }
-  // Retry cache, nothing ingested since the cached body was encoded:
+  // Retry cache (count only), nothing ingested since the cached body was
+  // encoded:
   //   - same nonzero since_cursor as the previous reply — the client never
-  //     applied it (timeout, reconnect), so the identical body is still
-  //     the right answer even though the baseline has moved past it;
+  //     applied it (timeout, reconnect), so the identical body is still the
+  //     right answer even though the chain has moved past it;
   //   - a bootstrap (since_cursor 0) after a full reply — the cached full
   //     body *is* the current baseline, so it is re-shipped under the same
   //     cursor instead of re-walking and re-encoding the whole synopsis.
@@ -284,45 +251,23 @@ void PartyServer::count_delta_answer(const SnapshotRequest& req,
       req.since_cursor != 0 && req.since_cursor == st.cached_since;
   const bool rebootstrap = req.since_cursor == 0 && st.cached_base_cursor == 0;
   if (st.cache_valid && (retry || rebootstrap) &&
-      count_->items_observed() == st.cached_items) {
+      party.items_observed() == st.cached_items) {
     r.base_cursor = st.cached_base_cursor;
     r.cursor = st.cached_cursor;
     r.body = st.cached_body;
-    if (r.base_cursor != 0) {
-      obs.delta_replies.add();
-    } else {
-      obs.delta_full.add();
-    }
-    return;
-  }
-  const std::uint64_t next = st.serial + 1;
-  r.body.clear();
-  if (req.since_cursor != 0 && req.since_cursor == st.serial &&
-      st.baseline.valid &&
-      recovery::encode_delta_live(*count_, st.baseline, r.body)) {
-    // O(change) diff straight out of the live rings; the baseline summary
-    // now describes the state just encoded.
-    r.base_cursor = st.serial;
-    obs.delta_replies.add();
   } else {
-    // Bootstrap (since_cursor 0), a cursor we no longer hold (another
-    // client advanced the baseline, or this process restarted), or a live
-    // shape the diff form can't express: ship a self-contained full body.
-    // base_cursor 0 tells the client so.
-    distributed::CountPartyCheckpoint now = count_->checkpoint();
-    r.base_cursor = 0;
-    r.body = recovery::encode(now);
-    recovery::baseline_from_checkpoint(now, st.baseline);
-    obs.delta_full.add();
+    r.base_cursor = st.chain.next(party, req.since_cursor, r.body);
+    r.cursor = st.chain.cursor();
+    if constexpr (std::is_same_v<Party, distributed::CountParty>) {
+      st.cache_valid = true;
+      st.cached_since = req.since_cursor;
+      st.cached_items = st.chain.items();
+      st.cached_base_cursor = r.base_cursor;
+      st.cached_cursor = r.cursor;
+      st.cached_body = r.body;
+    }
   }
-  r.cursor = next;
-  st.serial = next;
-  st.cache_valid = true;
-  st.cached_since = req.since_cursor;
-  st.cached_items = st.baseline.cursor;
-  st.cached_base_cursor = r.base_cursor;
-  st.cached_cursor = r.cursor;
-  st.cached_body = r.body;
+  (r.base_cursor != 0 ? obs.delta_replies : obs.delta_full).add();
 }
 
 void PartyServer::answer(const SnapshotRequest& req, Outbox& out) {
@@ -361,9 +306,9 @@ void PartyServer::answer(const SnapshotRequest& req, Outbox& out) {
         // and the delta diff — the "interference" phase.
         auto d = obs::Tracer::instance().start("party.delta", span.context());
         if (role_ == PartyRole::kCount) {
-          count_delta_answer(req, r);
+          pull_reply(*count_, count_pull_, req, r);
         } else {
-          delta_answer(distinct_, distinct_delta_, req, r);
+          pull_reply(*distinct_, distinct_pull_, req, r);
         }
         d.set("body_bytes", static_cast<double>(r.body.size()));
         d.set("full", r.base_cursor == 0 ? 1.0 : 0.0);
@@ -432,41 +377,18 @@ void PartyServer::push_update(Subscription& sub, Outbox& out) {
   u.seq = sub.seq + 1;
   u.generation = cfg_.generation;
   u.role = role_;
-  bool full = true;
   switch (role_) {
-    case PartyRole::kCount: {
-      // Same O(change) live encoder as the pull path, but against this
-      // subscription's own baseline — two subscribers at different points
-      // in their chains never corrupt each other.
-      if (sub.cursor != 0 && sub.count_base.valid &&
-          recovery::encode_delta_live(*count_, sub.count_base, u.body)) {
-        u.base_cursor = sub.cursor;
-        full = false;
-      } else {
-        distributed::CountPartyCheckpoint now = count_->checkpoint();
-        u.body = recovery::encode(now);
-        recovery::baseline_from_checkpoint(now, sub.count_base);
-        u.base_cursor = 0;
-      }
-      u.items_observed = sub.count_base.cursor;
-      sub.pushed_items = sub.count_base.cursor;
+    // The same chain encoder as the pull path, but this subscription's
+    // own chain — two subscribers at different points in their chains
+    // never corrupt each other.
+    case PartyRole::kCount:
+      u.base_cursor = sub.count_chain.next(*count_, sub.cursor, u.body);
+      u.items_observed = sub.count_chain.items();
       break;
-    }
-    case PartyRole::kDistinct: {
-      distributed::DistinctPartyCheckpoint now = distinct_->checkpoint();
-      if (sub.cursor != 0) {
-        u.body = recovery::encode_delta(sub.distinct_base, now);
-        u.base_cursor = sub.cursor;
-        full = false;
-      } else {
-        u.body = recovery::encode(now);
-        u.base_cursor = 0;
-      }
-      u.items_observed = now.cursor;
-      sub.pushed_items = now.cursor;
-      sub.distinct_base = std::move(now);
+    case PartyRole::kDistinct:
+      u.base_cursor = sub.distinct_chain.next(*distinct_, sub.cursor, u.body);
+      u.items_observed = sub.distinct_chain.items();
       break;
-    }
     case PartyRole::kBasic: {
       const core::Estimate est = basic_->query(sub.n);
       distributed::put_fixed64(u.body,
@@ -496,7 +418,7 @@ void PartyServer::push_update(Subscription& sub, Outbox& out) {
   Bytes payload = u.encode();
   mobs.pushes.add();
   mobs.push_bytes.add(kHeaderSize + payload.size());
-  if (full) {
+  if (u.base_cursor == 0) {
     mobs.push_full.add();
   } else {
     mobs.push_delta.add();
@@ -508,22 +430,18 @@ void PartyServer::drift_tick(Subscription& sub, Outbox& out) {
   const auto& mobs = obs::MonitorPartyObs::instance();
   mobs.push_checks.add();
   switch (role_) {
-    case PartyRole::kCount: {
+    case PartyRole::kCount:
+    case PartyRole::kDistinct: {
       // Count-based windows expire only when items arrive, so the party's
       // item cursor covers window-expiry drift too: a quiescent stream is
       // provably drift-free and the check costs one atomic-ish read.
-      const std::uint64_t items = count_->items_observed();
-      if (items == sub.pushed_items ||
-          static_cast<double>(items - sub.pushed_items) < sub.slack) {
-        return;
-      }
-      push_update(sub, out);
-      return;
-    }
-    case PartyRole::kDistinct: {
-      const std::uint64_t items = distinct_->items_observed();
-      if (items == sub.pushed_items ||
-          static_cast<double>(items - sub.pushed_items) < sub.slack) {
+      const bool count = role_ == PartyRole::kCount;
+      const std::uint64_t items =
+          count ? count_->items_observed() : distinct_->items_observed();
+      const std::uint64_t pushed =
+          count ? sub.count_chain.items() : sub.distinct_chain.items();
+      if (items == pushed ||
+          static_cast<double>(items - pushed) < sub.slack) {
         return;
       }
       push_update(sub, out);

@@ -31,7 +31,7 @@
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
 #include "recovery/checkpoint.hpp"
-#include "recovery/delta_live.hpp"
+#include "recovery/delta_chain.hpp"
 
 namespace waves::net {
 
@@ -182,31 +182,22 @@ class PartyServer {
   void note_checkpoint();
 
  private:
-  // Delta baseline: the party checkpoint most recently shipped to *any*
-  // client, cursored by an always-bumping serial. The serial
-  // (not the party's item count) is the wire cursor, so two clients
-  // interleaving requests can never hold different baselines under the same
-  // cursor value — a since_cursor that isn't the current serial simply
-  // falls back to a full reply. Only the role's matching state is used.
-  template <class Checkpoint>
-  struct DeltaState {
+  // The pull chain: one delta chain shared by every client of this
+  // server. Its cursor (not the party's item count) is the wire cursor, so
+  // two clients interleaving requests can never hold different baselines
+  // under the same cursor value — a since_cursor that isn't the chain's
+  // current one simply gets a full reply.
+  //
+  // The count role adds a retry cache. A client that timed out and retries
+  // the same since_cursor would otherwise miss the (already advanced)
+  // baseline and force a full resync; as long as nothing was ingested in
+  // between, re-shipping the previous body verbatim is exactly equivalent.
+  // The same cache answers repeated bootstraps (since_cursor 0) on a
+  // quiescent party without re-encoding.
+  template <class Encoder>
+  struct PullChain {
     std::mutex mu;
-    std::uint64_t serial = 0;  // 0 = no baseline handed out yet
-    Checkpoint base;
-  };
-
-  // Count-role delta state: instead of a full baseline checkpoint, keep
-  // the O(instances * levels) shape summary the live encoder diffs
-  // against (recovery/delta_live.hpp), plus a retry cache. A client that
-  // timed out and retries the same since_cursor would otherwise miss the
-  // (already advanced) baseline and force a full resync; as long as
-  // nothing was ingested in between, re-shipping the previous body verbatim
-  // is exactly equivalent. The same cache answers repeated bootstraps
-  // (since_cursor 0) on a quiescent party without re-encoding.
-  struct CountDeltaState {
-    std::mutex mu;
-    std::uint64_t serial = 0;  // 0 = no baseline handed out yet
-    recovery::CountDeltaBaseline baseline;
+    Encoder chain;
     bool cache_valid = false;
     std::uint64_t cached_since = 0;        // request's since_cursor
     std::uint64_t cached_items = 0;        // items_observed at encode time
@@ -217,8 +208,8 @@ class PartyServer {
 
   // One connection's active push subscription (at most one; a replacing
   // kSubscribe restarts the chain). Owned by its connection — no
-  // cross-connection sharing, so the per-subscription delta baselines need
-  // no locks beyond the party's own.
+  // cross-connection sharing, so the per-subscription delta chains need no
+  // locks beyond the party's own.
   struct Subscription {
     bool active = false;
     std::uint64_t request_id = 0;
@@ -227,14 +218,13 @@ class PartyServer {
     std::chrono::milliseconds check{25};
     std::uint64_t seq = 0;     // last pushed seq (0 = none yet)
     std::uint64_t cursor = 0;  // push-chain cursor (0 = no baseline)
-    // Drift trackers: what the subscriber last saw.
-    std::uint64_t pushed_items = 0;   // count/distinct
-    double pushed_value = 0.0;        // basic/sum
-    std::uint64_t last_change = 0;    // change_cursor at last check
-    // Per-subscription delta baselines (count: live-encoder shape summary;
-    // distinct: full checkpoint to diff against).
-    recovery::CountDeltaBaseline count_base;
-    distributed::DistinctPartyCheckpoint distinct_base;
+    // Drift trackers for basic/sum (count/distinct compare the party's
+    // items against their chain's): what the subscriber last saw.
+    double pushed_value = 0.0;
+    std::uint64_t last_change = 0;  // change_cursor at last check
+    // The push chain (count/distinct; only the role's flavour is used).
+    recovery::CountDeltaEncoder count_chain;
+    recovery::DistinctDeltaEncoder distinct_chain;
   };
 
   // Frames the loop must write for one processed request, in order.
@@ -267,12 +257,10 @@ class PartyServer {
   void subscribe(const SubscribeRequest& req, Subscription& sub, Outbox& out);
   /// Unconditional push of the current state (initial ack, drift firing).
   void push_update(Subscription& sub, Outbox& out);
-  template <class Party, class Checkpoint>
-  void delta_answer(Party* party, DeltaState<Checkpoint>& st,
-                    const SnapshotRequest& req, DeltaReply& r) const;
-  /// Count-role replacement for delta_answer: O(change) live diff plus a
-  /// retry cache (see CountDeltaState).
-  void count_delta_answer(const SnapshotRequest& req, DeltaReply& r) const;
+  /// The DeltaReply fields for a pull request, off the shared pull chain.
+  template <class Party, class Encoder>
+  void pull_reply(const Party& party, PullChain<Encoder>& st,
+                  const SnapshotRequest& req, DeltaReply& r) const;
 
   ServerConfig cfg_;
   PartyRole role_;
@@ -282,8 +270,8 @@ class PartyServer {
   SumPartyState* sum_ = nullptr;
   AggPartyState* agg_ = nullptr;
 
-  mutable CountDeltaState count_delta_;
-  mutable DeltaState<distributed::DistinctPartyCheckpoint> distinct_delta_;
+  mutable PullChain<recovery::CountDeltaEncoder> count_pull_;
+  mutable PullChain<recovery::DistinctDeltaEncoder> distinct_pull_;
 
   Listener listener_;
 

@@ -2,7 +2,7 @@
 // referee client.
 //
 // Each networked fetch (one party, one round) contributes one FlightRecord:
-// what came back (bytes, delta vs full, cache hit), what it cost
+// what came back (bytes, delta vs full), what it cost
 // (per-phase wall-clock durations, allocation count when the binary
 // installs the alloc hook — see obs/alloc.hpp), and how it got there
 // (attempts, reused connection). The ring answers "where did the last
@@ -41,7 +41,6 @@ struct FlightRecord {
   bool reused_connection = false;
   bool delta_reply = false;
   bool delta_applied = false;
-  bool cache_hit = false;
   // Disjoint per-phase wall-clock seconds (see header comment).
   double connect_s = 0.0;    // TCP connect + Hello send/await
   double send_s = 0.0;       // request encode + write

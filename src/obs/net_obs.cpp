@@ -17,8 +17,6 @@ const NetClientObs& NetClientObs::instance() {
       reg.counter("waves_net_reconnects_total"),
       reg.counter("waves_net_delta_replies_total"),
       reg.counter("waves_net_delta_full_total"),
-      reg.counter("waves_net_snapshot_cache_hits_total"),
-      reg.counter("waves_net_snapshot_cache_misses_total"),
       reg.counter("waves_net_shutdown_retries_total"),
       reg.counter("waves_net_deadline_exhausted_total"),
       reg.counter("waves_net_breaker_trips_total"),

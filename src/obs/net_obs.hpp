@@ -20,9 +20,6 @@
 //   waves_net_delta_replies_total   kDeltaReply answers applied to a mirror
 //   waves_net_delta_full_total      delta-capable requests answered full
 //                                   (bootstrap, stale cursor, or v2 server)
-//   waves_net_snapshot_cache_hits_total / waves_net_snapshot_cache_misses_total
-//                                   referee-side decoded-snapshot cache,
-//                                   keyed (party, generation, cursor, n)
 //   waves_net_shutdown_retries_total  fetches answered ErrCode::kShutdown
 //                                   (party draining) and retried fast
 //   waves_net_deadline_exhausted_total fetches abandoned because the
@@ -74,8 +71,6 @@ struct NetClientObs {
   const Counter& reconnects;
   const Counter& delta_replies;
   const Counter& delta_full;
-  const Counter& snapshot_cache_hits;
-  const Counter& snapshot_cache_misses;
   const Counter& shutdown_retries;
   const Counter& deadline_exhausted;
   const Counter& breaker_trips;

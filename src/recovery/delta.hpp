@@ -99,13 +99,14 @@ void put_delta(Bytes& out, const agg::AggWaveCheckpoint& base,
     const distributed::DistinctPartyCheckpoint& base, const Bytes& in,
     distributed::DistinctPartyCheckpoint& out);
 
-/// Capacity-reusing variants for the steady-state client: build the new
+/// Capacity-reusing variants for the steady-state referee: build the new
 /// checkpoint *into* `out`, reassigning its existing vectors so a caller
-/// that ping-pongs two checkpoints (DeltaMirror's base/scratch) applies a
-/// round's delta with near-zero allocations. Price of the reuse: `out` is
-/// unspecified on failure (the all-or-nothing wrappers above delegate here
-/// through a fresh checkpoint) and must not alias `base`. Same rejection
-/// rules: canonical varints, hostile-length guards, trailing garbage.
+/// that ping-pongs two checkpoints (a Mirror's base/scratch, see
+/// delta_chain.hpp) applies a round's delta with near-zero allocations.
+/// Price of the reuse: `out` is unspecified on failure (the all-or-nothing
+/// wrappers above delegate here through a fresh checkpoint) and must not
+/// alias `base`. Same rejection rules: canonical varints, hostile-length
+/// guards, trailing garbage.
 [[nodiscard]] bool apply_delta_into(
     const distributed::CountPartyCheckpoint& base, const Bytes& in,
     distributed::CountPartyCheckpoint& out);

@@ -460,8 +460,8 @@ else
   [[ $(grep -c '^fetch trace=' "$TMP/traced.out") -ge $PARTIES ]] ||
     fail "flight recorder has fewer than $PARTIES fetch lines"
   # Ingest finished before the query, so round 2's delta reply is the
-  # "unchanged" echo: delta path taken, nothing to apply, cache hit.
-  grep -q '^fetch .* reused=1 delta=1 .*cache_hit=1' "$TMP/traced.out" ||
+  # "unchanged" echo: delta path taken on the kept connection.
+  grep -q '^fetch .* reused=1 delta=1 ' "$TMP/traced.out" ||
     fail "round 2 should ride the delta path on a reused connection"
   echo "TRACE count: one trace ($trace), $PARTIES party spans, flight ok"
   stop_daemons

@@ -652,6 +652,60 @@ TEST(NetLoopback, DistinctParityWithInProcessReferee) {
   EXPECT_EQ(tcp.estimate.value, direct.value);
 }
 
+// The positionwise union is only defined over aligned streams. A party
+// that answers one item ahead must fail the round closed with a typed
+// error naming both lengths — not trip the combine's precondition assert
+// (this suite builds with asserts on).
+TEST(NetLoopback, MisalignedPartiesFailClosed) {
+  distributed::CountParty c0(count_params(), kInstances, kSeed);
+  distributed::CountParty c1(count_params(), kInstances, kSeed);
+  distributed::DistinctParty d0(distinct_params(), kInstances, kSeed);
+  distributed::DistinctParty d1(distinct_params(), kInstances, kSeed);
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    c0.observe(i % 3 == 0);
+    c1.observe(i % 3 == 0);
+    d0.observe(i % 97);
+    d1.observe(i % 97);
+  }
+  c1.observe(true);
+  d1.observe(7);
+  std::vector<std::unique_ptr<PartyServer>> servers;
+  servers.push_back(std::make_unique<PartyServer>(ServerConfig{}, &c0));
+  servers.push_back(std::make_unique<PartyServer>(ServerConfig{}, &c1));
+  servers.push_back(std::make_unique<PartyServer>(ServerConfig{}, &d0));
+  servers.push_back(std::make_unique<PartyServer>(ServerConfig{}, &d1));
+  for (auto& s : servers) ASSERT_TRUE(s->start());
+  auto ep = [&](std::size_t i) {
+    return Endpoint{"127.0.0.1", servers[i]->port()};
+  };
+
+  NetworkCountSource count(std::vector<Endpoint>{ep(0), ep(1)},
+                           count_params(), kInstances, kSeed);
+  const distributed::QueryResult u = distributed::union_count(count, kWindow);
+  EXPECT_EQ(u.status, distributed::QueryStatus::kFailed);
+  EXPECT_TRUE(u.missing.empty());
+  EXPECT_NE(u.error.find("different stream lengths"), std::string::npos)
+      << u.error;
+  EXPECT_NE(u.error.find("party 0=500 party 1=501"), std::string::npos)
+      << u.error;
+
+  NetworkDistinctSource distinct(std::vector<Endpoint>{ep(2), ep(3)},
+                                 distinct_params(), kInstances, kSeed);
+  const distributed::QueryResult d =
+      distributed::distinct_count(distinct, kWindow);
+  EXPECT_EQ(d.status, distributed::QueryStatus::kFailed);
+  EXPECT_NE(d.error.find("party 0=500 party 1=501"), std::string::npos)
+      << d.error;
+
+  // Realigned, the same sources answer again.
+  c0.observe(true);
+  d0.observe(7);
+  EXPECT_EQ(distributed::union_count(count, kWindow).status,
+            distributed::QueryStatus::kOk);
+  EXPECT_EQ(distributed::distinct_count(distinct, kWindow).status,
+            distributed::QueryStatus::kOk);
+}
+
 TEST(NetLoopback, TotalsParityAndConcurrentFanout) {
   // Scenario 1 over TCP: four sum parties; the referee's total must equal
   // the sum of the parties' own window estimates, bit for bit.
