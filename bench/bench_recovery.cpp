@@ -142,7 +142,7 @@ void e17_count() {
                 recovery::OpenStatus::kOk &&
             recovery::decode(body, loaded);
   distributed::CountParty recovered(params, kInstances, kSeed);
-  recovered.restore(loaded);
+  ok = ok && recovered.restore(loaded);
   for (std::uint64_t i = loaded.cursor; i < kItems; ++i) {
     recovered.observe(bits[i]);
   }

@@ -71,25 +71,4 @@ struct SumWaveCheckpoint {
   bool operator==(const SumWaveCheckpoint&) const = default;
 };
 
-struct TsWaveCheckpoint {
-  std::uint64_t pos = 0;
-  std::uint64_t rank = 0;
-  std::uint64_t discarded_rank = 0;
-  /// Live (position, rank) pairs in list (rank) order; positions are
-  /// nondecreasing with possible repetitions. Replaying them in order
-  /// rebuilds the first-item segment list as a side effect.
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> entries;
-
-  bool operator==(const TsWaveCheckpoint&) const = default;
-};
-
-struct TsSumWaveCheckpoint {
-  std::uint64_t pos = 0;
-  std::uint64_t total = 0;
-  std::uint64_t discarded_z = 0;
-  std::vector<SumEntryCheckpoint> entries;
-
-  bool operator==(const TsSumWaveCheckpoint&) const = default;
-};
-
 }  // namespace waves::core

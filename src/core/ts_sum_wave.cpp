@@ -35,10 +35,9 @@ TsSumWave::TsSumWave(std::uint64_t inv_eps, std::uint64_t window,
   is_first_.assign(pool_.total_slots(), false);
 }
 
-int TsSumWave::level_at(std::uint64_t prior_total,
-                        std::uint64_t value) const noexcept {
+int TsSumWave::level_for(std::uint64_t value) const noexcept {
   const int top = pool_.levels() - 1;
-  const std::uint64_t t = prior_total & mask_;
+  const std::uint64_t t = total_ & mask_;
   const std::uint64_t g = t + value;
   if (g > mask_) return top;
   const std::uint64_t h = (~t) & g & mask_;
@@ -235,34 +234,6 @@ Estimate TsSumWave::query(std::uint64_t n) const {
                        static_cast<double>(v2)) /
                           2.0,
                   false, n};
-}
-
-TsSumWaveCheckpoint TsSumWave::checkpoint() const {
-  TsSumWaveCheckpoint ck{pos_, total_, discarded_z_, {}};
-  pool_.for_each([&ck](const Entry& e) {
-    ck.entries.push_back(SumEntryCheckpoint{e.pos, e.value, e.z});
-  });
-  return ck;
-}
-
-TsSumWave TsSumWave::restore(std::uint64_t inv_eps, std::uint64_t window,
-                             std::uint64_t max_per_window,
-                             std::uint64_t max_value,
-                             const TsSumWaveCheckpoint& ck) {
-  TsSumWave w(inv_eps, window, max_per_window, max_value);
-  w.pos_ = ck.pos;
-  w.total_ = ck.total;
-  w.discarded_z_ = ck.discarded_z;
-  // Levels recompute from the total before each item (z - value); replay in
-  // list order rebuilds both the level rings and the first-item segment
-  // list (no victim splicing: survivors never exceed a level's capacity).
-  for (const SumEntryCheckpoint& e : ck.entries) {
-    const std::int32_t idx = w.pool_.insert(w.level_at(e.z - e.value, e.value),
-                                            Entry{e.pos, e.value, e.z});
-    w.mark_inserted(idx, e.pos);
-  }
-  ++w.change_cursor_;
-  return w;
 }
 
 std::uint64_t TsSumWave::space_bits() const noexcept {

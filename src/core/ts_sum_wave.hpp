@@ -18,7 +18,6 @@
 #include <span>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/wave_common.hpp"
 #include "util/bitops.hpp"
 #include "util/level_pool.hpp"
@@ -65,16 +64,6 @@ class TsSumWave {
     return change_cursor_;
   }
 
-  /// Capture the full queryable state (cheap: O((1/eps) log(eps UR))).
-  [[nodiscard]] TsSumWaveCheckpoint checkpoint() const;
-
-  /// Rebuild a wave that behaves identically to the checkpointed one under
-  /// any continuation of the stream. Parameters must match the original's.
-  [[nodiscard]] static TsSumWave restore(std::uint64_t inv_eps,
-                                         std::uint64_t window,
-                                         std::uint64_t max_per_window,
-                                         std::uint64_t max_value,
-                                         const TsSumWaveCheckpoint& ck);
 
  private:
   struct Entry {
@@ -84,11 +73,7 @@ class TsSumWave {
   };
   static constexpr std::int32_t kNil = util::LevelPool<Entry>::kNil;
 
-  [[nodiscard]] int level_at(std::uint64_t prior_total,
-                             std::uint64_t value) const noexcept;
-  [[nodiscard]] int level_for(std::uint64_t value) const noexcept {
-    return level_at(total_, value);
-  }
+  [[nodiscard]] int level_for(std::uint64_t value) const noexcept;
   void expire_position();
   void splice_first_bookkeeping(std::int32_t victim);
   void mark_inserted(std::int32_t idx, std::uint64_t pos);

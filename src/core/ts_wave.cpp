@@ -230,34 +230,6 @@ Estimate TsWave::query(std::uint64_t n) const {
                   false, n};
 }
 
-TsWaveCheckpoint TsWave::checkpoint() const {
-  TsWaveCheckpoint ck{pos_, rank_, discarded_rank_, {}};
-  pool_.for_each([&ck](const Entry& e) { ck.entries.emplace_back(e.pos, e.rank); });
-  return ck;
-}
-
-TsWave TsWave::restore(std::uint64_t inv_eps, std::uint64_t window,
-                       std::uint64_t max_per_window,
-                       const TsWaveCheckpoint& ck) {
-  TsWave w(inv_eps, window, max_per_window);
-  w.pos_ = ck.pos;
-  w.rank_ = ck.rank;
-  w.discarded_rank_ = ck.discarded_rank;
-  // Live entries are the most-recent survivors per level and never exceed
-  // capacity, so no victim is spliced during the replay; mark_inserted
-  // rebuilds the first-item segment list because entries arrive in list
-  // (nondecreasing position) order.
-  for (const auto& [p, r] : ck.entries) {
-    int j = util::rank_level(r);
-    const int top = w.pool_.levels() - 1;
-    if (j > top) j = top;
-    const std::int32_t idx = w.pool_.insert(j, Entry{p, r});
-    w.mark_inserted(idx, p);
-  }
-  ++w.change_cursor_;
-  return w;
-}
-
 std::uint64_t TsWave::space_bits() const noexcept {
   const std::uint64_t np = util::next_pow2_at_least(2 * max_per_window_);
   const auto word = static_cast<std::uint64_t>(util::floor_log2(np));

@@ -14,7 +14,6 @@
 #include <span>
 #include <vector>
 
-#include "core/checkpoint.hpp"
 #include "core/wave_common.hpp"
 #include "util/bitops.hpp"
 #include "util/level_pool.hpp"
@@ -63,16 +62,6 @@ class TsWave {
     return change_cursor_;
   }
 
-  /// Capture the full queryable state (cheap: O((1/eps) log(eps U))).
-  [[nodiscard]] TsWaveCheckpoint checkpoint() const;
-
-  /// Rebuild a wave that behaves identically to the checkpointed one under
-  /// any continuation of the stream; replaying the entries in list order
-  /// also rebuilds the first-item segment list. Parameters must match.
-  [[nodiscard]] static TsWave restore(std::uint64_t inv_eps,
-                                      std::uint64_t window,
-                                      std::uint64_t max_per_window,
-                                      const TsWaveCheckpoint& ck);
 
  private:
   struct Entry {

@@ -103,12 +103,22 @@ CountPartyCheckpoint CountParty::checkpoint() const {
   return ck;
 }
 
-void CountParty::restore(const CountPartyCheckpoint& ck) {
+bool CountParty::restore(const CountPartyCheckpoint& ck) {
   const auto lock = lock_tracked(mu_, obs_);
-  assert(ck.waves.size() == waves_.size());
+  // The window fixes every wave's level count, so this also refuses a
+  // checkpoint from a party built with another window.
+  if (ck.waves.size() != waves_.size()) return false;
+  for (std::size_t i = 0; i < waves_.size(); ++i) {
+    const std::size_t levels = waves_[i].level_count();
+    if (ck.waves[i].queues.size() != levels ||
+        ck.waves[i].evicted_bounds.size() != levels) {
+      return false;
+    }
+  }
   for (std::size_t i = 0; i < waves_.size(); ++i) {
     waves_[i].restore(ck.waves[i]);
   }
+  return true;
 }
 
 DistinctParty::DistinctParty(const core::DistinctWave::Params& params,
@@ -174,12 +184,20 @@ DistinctPartyCheckpoint DistinctParty::checkpoint() const {
   return ck;
 }
 
-void DistinctParty::restore(const DistinctPartyCheckpoint& ck) {
+bool DistinctParty::restore(const DistinctPartyCheckpoint& ck) {
   const auto lock = lock_tracked(mu_, obs_);
-  assert(ck.waves.size() == waves_.size());
+  if (ck.waves.size() != waves_.size()) return false;
+  for (std::size_t i = 0; i < waves_.size(); ++i) {
+    const auto levels = static_cast<std::size_t>(waves_[i].top_level()) + 1;
+    if (ck.waves[i].levels.size() != levels ||
+        ck.waves[i].evicted_bounds.size() != levels) {
+      return false;
+    }
+  }
   for (std::size_t i = 0; i < waves_.size(); ++i) {
     waves_[i].restore(ck.waves[i]);
   }
+  return true;
 }
 
 }  // namespace waves::distributed

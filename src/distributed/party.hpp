@@ -79,8 +79,10 @@ class CountParty {
 
   /// Load into a freshly constructed party (same params, instances, and
   /// shared seed — the coins replay identically). Precondition: no items
-  /// observed yet and ck.waves.size() == instances().
-  void restore(const CountPartyCheckpoint& ck);
+  /// observed yet. Returns false, touching nothing, when `ck` has another
+  /// instance count or any wave another level count (a party built with
+  /// another window): such a checkpoint cannot be restored, only replaced.
+  [[nodiscard]] bool restore(const CountPartyCheckpoint& ck);
 
   /// Run `fn(std::span<const core::RandWave>)` under the party lock. The
   /// O(change) delta encoder reads ring contents in place instead of paying
@@ -128,7 +130,7 @@ class DistinctParty {
 
   [[nodiscard]] DistinctPartyCheckpoint checkpoint() const;
   /// Same contract as CountParty::restore.
-  void restore(const DistinctPartyCheckpoint& ck);
+  [[nodiscard]] bool restore(const DistinctPartyCheckpoint& ck);
 
  private:
   [[nodiscard]] std::uint64_t space_bits_locked() const noexcept;

@@ -133,8 +133,9 @@ struct AggReply {
 // party-checkpoint encoding:
 //   base_cursor == 0 — self-contained: recovery::encode of the full party
 //     checkpoint (mirror bootstrap, stale-cursor fallback, server restart);
-//   base_cursor != 0 — recovery::encode_delta against the baseline the
-//     client holds under that cursor (matches the request's since_cursor);
+//   base_cursor != 0 — a delta body (recovery::DeltaEncoder::next) against
+//     the baseline the client holds under that cursor (matches the
+//     request's since_cursor), applied with recovery::apply_delta_into;
 //   empty body with base_cursor == cursor == since_cursor — "unchanged":
 //     the party ingested nothing since the baseline, reuse it as-is.
 // `cursor` names the post-reply baseline; the client echoes it as the next
@@ -210,8 +211,9 @@ struct SubscribeRequest {
 /// is strictly increasing per subscription starting at 1; a gap or
 /// regression means frames were lost and the subscriber must resubscribe.
 /// The body reuses the DeltaReply chain semantics for count/distinct
-/// (base_cursor 0 = self-contained recovery::encode, else
-/// recovery::encode_delta against the cursor the subscriber holds); for
+/// (base_cursor 0 = self-contained recovery::encode, else a
+/// recovery::DeltaEncoder::next delta against the cursor the subscriber
+/// holds); for
 /// basic/sum it is fixed64 estimate bits + varint exact flag — the party's
 /// local total, which the hub sums across parties.
 struct PushUpdate {

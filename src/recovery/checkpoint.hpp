@@ -1,6 +1,7 @@
 // Durable checkpoint codec: a versioned, CRC-guarded byte encoding for
-// every synopsis checkpoint in the system (the six core waves and the four
-// party-level states a `waved` daemon can serve).
+// every synopsis checkpoint a `waved` daemon persists or ships (the
+// deterministic, sum, randomized and distinct waves, the exact-aggregate
+// window, and the five party-level states built from them).
 //
 // Why this is cheap: a party's entire window state is O((1/eps) log^2 N)
 // bits (Theorems 2, 5-7) — the checkpoint is the synopsis, not the stream.
@@ -67,12 +68,13 @@ struct AggPartyCheckpoint {
 // put_* appends; get_* reads at `at`, advancing it. On failure get_* returns
 // false and leaves `out`/`at` unspecified — the whole-buffer wrappers and
 // open_envelope() discard everything on failure, preserving the
-// all-or-nothing contract at the struct the caller actually sees.
+// all-or-nothing contract at the struct the caller actually sees. The
+// randomized and distinct decoders also refuse a wave with no levels or
+// with a bound count unequal to its level count, so a decoded checkpoint
+// always yields a snapshot.
 
 void put_checkpoint(Bytes& out, const core::DetWaveCheckpoint& ck);
 void put_checkpoint(Bytes& out, const core::SumWaveCheckpoint& ck);
-void put_checkpoint(Bytes& out, const core::TsWaveCheckpoint& ck);
-void put_checkpoint(Bytes& out, const core::TsSumWaveCheckpoint& ck);
 void put_checkpoint(Bytes& out, const core::RandWaveCheckpoint& ck);
 void put_checkpoint(Bytes& out, const core::DistinctWaveCheckpoint& ck);
 void put_checkpoint(Bytes& out, const agg::AggWaveCheckpoint& ck);
@@ -81,10 +83,6 @@ void put_checkpoint(Bytes& out, const agg::AggWaveCheckpoint& ck);
                                   core::DetWaveCheckpoint& out);
 [[nodiscard]] bool get_checkpoint(const Bytes& in, std::size_t& at,
                                   core::SumWaveCheckpoint& out);
-[[nodiscard]] bool get_checkpoint(const Bytes& in, std::size_t& at,
-                                  core::TsWaveCheckpoint& out);
-[[nodiscard]] bool get_checkpoint(const Bytes& in, std::size_t& at,
-                                  core::TsSumWaveCheckpoint& out);
 [[nodiscard]] bool get_checkpoint(const Bytes& in, std::size_t& at,
                                   core::RandWaveCheckpoint& out);
 [[nodiscard]] bool get_checkpoint(const Bytes& in, std::size_t& at,

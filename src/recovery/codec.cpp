@@ -84,15 +84,14 @@ bool get_checkpoint(const Bytes& in, std::size_t& at,
   return true;
 }
 
-namespace {
-
-// SumWave and TsSumWave share an entry layout (pos, value, z) and the same
-// monotonicity: positions nondecreasing, z strictly increasing.
-void put_sum_entries(Bytes& out,
-                     const std::vector<core::SumEntryCheckpoint>& entries) {
-  put_varint(out, entries.size());
+void put_checkpoint(Bytes& out, const core::SumWaveCheckpoint& ck) {
+  put_varint(out, ck.pos);
+  put_varint(out, ck.total);
+  put_varint(out, ck.discarded_z);
+  put_varint(out, ck.entries.size());
+  // Positions nondecreasing, z strictly increasing: delta-encode both.
   std::uint64_t pp = 0, pz = 0;
-  for (const core::SumEntryCheckpoint& e : entries) {
+  for (const core::SumEntryCheckpoint& e : ck.entries) {
     put_varint(out, e.pos - pp);
     put_varint(out, e.value);
     put_varint(out, e.z - pz);
@@ -101,11 +100,16 @@ void put_sum_entries(Bytes& out,
   }
 }
 
-bool get_sum_entries(const Bytes& in, std::size_t& at,
-                     std::vector<core::SumEntryCheckpoint>& entries) {
+bool get_checkpoint(const Bytes& in, std::size_t& at,
+                    core::SumWaveCheckpoint& out) {
+  core::SumWaveCheckpoint ck;
   std::uint64_t count = 0;
-  if (!get_varint(in, at, count) || count > in.size() - at) return false;
-  entries.reserve(std::min<std::size_t>(count, kReserveCap));
+  if (!get_varint(in, at, ck.pos) || !get_varint(in, at, ck.total) ||
+      !get_varint(in, at, ck.discarded_z) || !get_varint(in, at, count) ||
+      count > in.size() - at) {
+    return false;
+  }
+  ck.entries.reserve(std::min<std::size_t>(count, kReserveCap));
   std::uint64_t pp = 0, pz = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
     std::uint64_t dp = 0, v = 0, dz = 0;
@@ -117,82 +121,7 @@ bool get_sum_entries(const Bytes& in, std::size_t& at,
     pz += dz;
     // restore() recomputes the level from z - value.
     if (v > pz) return false;
-    entries.push_back(core::SumEntryCheckpoint{pp, v, pz});
-  }
-  return true;
-}
-
-}  // namespace
-
-void put_checkpoint(Bytes& out, const core::SumWaveCheckpoint& ck) {
-  put_varint(out, ck.pos);
-  put_varint(out, ck.total);
-  put_varint(out, ck.discarded_z);
-  put_sum_entries(out, ck.entries);
-}
-
-bool get_checkpoint(const Bytes& in, std::size_t& at,
-                    core::SumWaveCheckpoint& out) {
-  core::SumWaveCheckpoint ck;
-  if (!get_varint(in, at, ck.pos) || !get_varint(in, at, ck.total) ||
-      !get_varint(in, at, ck.discarded_z) ||
-      !get_sum_entries(in, at, ck.entries)) {
-    return false;
-  }
-  out = std::move(ck);
-  return true;
-}
-
-void put_checkpoint(Bytes& out, const core::TsWaveCheckpoint& ck) {
-  put_varint(out, ck.pos);
-  put_varint(out, ck.rank);
-  put_varint(out, ck.discarded_rank);
-  put_varint(out, ck.entries.size());
-  std::uint64_t pp = 0, pr = 0;
-  for (const auto& [p, r] : ck.entries) {
-    put_varint(out, p - pp);  // nondecreasing: deltas may be 0
-    put_varint(out, r - pr);
-    pp = p;
-    pr = r;
-  }
-}
-
-bool get_checkpoint(const Bytes& in, std::size_t& at,
-                    core::TsWaveCheckpoint& out) {
-  core::TsWaveCheckpoint ck;
-  std::uint64_t count = 0;
-  if (!get_varint(in, at, ck.pos) || !get_varint(in, at, ck.rank) ||
-      !get_varint(in, at, ck.discarded_rank) || !get_varint(in, at, count) ||
-      count > in.size() - at) {
-    return false;
-  }
-  ck.entries.reserve(std::min<std::size_t>(count, kReserveCap));
-  std::uint64_t pp = 0, pr = 0;
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t dp = 0, dr = 0;
-    if (!get_varint(in, at, dp) || !get_varint(in, at, dr)) return false;
-    pp += dp;
-    pr += dr;
-    ck.entries.emplace_back(pp, pr);
-  }
-  out = std::move(ck);
-  return true;
-}
-
-void put_checkpoint(Bytes& out, const core::TsSumWaveCheckpoint& ck) {
-  put_varint(out, ck.pos);
-  put_varint(out, ck.total);
-  put_varint(out, ck.discarded_z);
-  put_sum_entries(out, ck.entries);
-}
-
-bool get_checkpoint(const Bytes& in, std::size_t& at,
-                    core::TsSumWaveCheckpoint& out) {
-  core::TsSumWaveCheckpoint ck;
-  if (!get_varint(in, at, ck.pos) || !get_varint(in, at, ck.total) ||
-      !get_varint(in, at, ck.discarded_z) ||
-      !get_sum_entries(in, at, ck.entries)) {
-    return false;
+    ck.entries.push_back(core::SumEntryCheckpoint{pp, v, pz});
   }
   out = std::move(ck);
   return true;
@@ -238,8 +167,12 @@ bool get_checkpoint(const Bytes& in, std::size_t& at,
     }
     ck.queues.push_back(std::move(q));
   }
+  // Every level has one evicted bound, and a wave has at least one level:
+  // the referee's snapshot reads both at the same index.
   std::uint64_t bounds = 0;
-  if (!get_varint(in, at, bounds) || bounds > in.size() - at) return false;
+  if (!get_varint(in, at, bounds) || bounds == 0 || bounds != queues) {
+    return false;
+  }
   ck.evicted_bounds.reserve(std::min<std::size_t>(bounds, kReserveCap));
   for (std::uint64_t i = 0; i < bounds; ++i) {
     std::uint64_t b = 0;
@@ -289,8 +222,11 @@ bool get_checkpoint(const Bytes& in, std::size_t& at,
     }
     ck.levels.push_back(std::move(level));
   }
+  // Same shape rule as the rand wave: one bound per level, >= 1 level.
   std::uint64_t bounds = 0;
-  if (!get_varint(in, at, bounds) || bounds > in.size() - at) return false;
+  if (!get_varint(in, at, bounds) || bounds == 0 || bounds != levels) {
+    return false;
+  }
   ck.evicted_bounds.reserve(std::min<std::size_t>(bounds, kReserveCap));
   for (std::uint64_t i = 0; i < bounds; ++i) {
     std::uint64_t b = 0;

@@ -69,7 +69,7 @@ bool encode_delta_live(const distributed::CountParty& party,
           w.pos() < bw.pos) {
         return false;
       }
-      put_varint(out, 0);  // flags: diff form (mirrors put_delta_checked)
+      put_varint(out, 0);  // flags: diff form (see delta.hpp)
       put_varint(out, w.pos());
       put_varint(out, levels);
       for (std::size_t l = 0; l < levels; ++l) {

@@ -1,15 +1,17 @@
-// O(change) count-role delta encoding straight out of the live rings.
+// O(change) count-role delta encoding straight out of the live rings: the
+// only encoder of count delta bodies.
 //
-// The generic delta path (delta.hpp) diffs two full checkpoints, which
+// Diffing two full checkpoints (what the distinct role does, delta.hpp)
 // costs four O(synopsis) walks per request: copy the checkpoint, diff it
 // against the baseline, re-apply the diff for the self-check, and encode
-// the full form for the size comparison. For the count role that dominates
-// the fetch wait at high party counts even when almost nothing changed.
+// the full form for the size comparison. For the count role that would
+// dominate the fetch wait at high party counts even when almost nothing
+// changed.
 //
 // This encoder keeps only a *shape summary* of the checkpoint last shipped
-// (per level: length and evicted bound, plus the stream position) and
-// emits the byte-identical diff wire format by reading the party's live
-// rings under its lock. Correctness rests on the RandWave ring invariant:
+// (per level: length and evicted bound, plus the stream position) and,
+// reading the party's live rings under its lock, emits the diff wire
+// format that recovery::apply_delta_into decodes. Correctness rests on the RandWave ring invariant:
 // levels only drop entries at the tail and append at the head, and
 // positions strictly ascend within a level, so every live entry with
 // position <= the baseline's pos is exactly the baseline suffix the client
@@ -50,9 +52,8 @@ struct CountDeltaBaseline {
 void baseline_from_checkpoint(const distributed::CountPartyCheckpoint& ck,
                               CountDeltaBaseline& out);
 
-/// Append the party-level delta body (same wire format as
-/// encode_party_delta with diff-form waves) describing baseline -> live
-/// state, then advance `baseline` to the encoded state. On failure `out`
+/// Append the party-level delta body (every wave in diff form, see
+/// delta.hpp) describing baseline -> live state, then advance `baseline` to the encoded state. On failure `out`
 /// is restored to its original length, the baseline is untouched, and the
 /// caller must ship a full body instead.
 [[nodiscard]] bool encode_delta_live(const distributed::CountParty& party,

@@ -9,8 +9,6 @@
 #include "core/distinct_wave.hpp"
 #include "core/rand_wave.hpp"
 #include "core/sum_wave.hpp"
-#include "core/ts_sum_wave.hpp"
-#include "core/ts_wave.hpp"
 #include "gf2/shared_randomness.hpp"
 #include "stream/generators.hpp"
 #include "stream/value_streams.hpp"
@@ -161,71 +159,6 @@ TEST(SumWaveCheckpointTest, EmptyAndYoungWaves) {
   SumWave r1 = SumWave::restore(5, 100, 10, w.checkpoint());
   EXPECT_DOUBLE_EQ(r1.query(100).value, 70.0);
   EXPECT_EQ(r1.total(), 70u);
-}
-
-// Timestamp streams: positions advance by 0..2 per item, so positions
-// repeat; U = 4 * N safely bounds the items any window holds.
-TEST(TsWaveCheckpointTest, ReplayAfterRestoreMatchesOriginal) {
-  const std::uint64_t window = 64;
-  const std::uint64_t max_per = 4 * window;
-  stream::UniformValues step(0, 2, 17);
-  stream::BernoulliBits bits(0.6, 23);
-  TsWave original(4, window, max_per);
-  std::uint64_t pos = 1;
-  for (std::uint64_t i = 0; i < 10 * window; ++i) {
-    pos += step.next();
-    original.update(pos, bits.next());
-  }
-  TsWave restored =
-      TsWave::restore(4, window, max_per, original.checkpoint());
-  for (std::uint64_t n = 1; n <= window; n += 7) {
-    ASSERT_DOUBLE_EQ(restored.query(n).value, original.query(n).value);
-  }
-  for (std::uint64_t i = 0; i < 8 * window; ++i) {
-    pos += step.next();
-    const bool b = bits.next();
-    original.update(pos, b);
-    restored.update(pos, b);
-    if (i % 13 == 0) {
-      for (std::uint64_t n : {std::uint64_t{1}, window / 2 + 1, window}) {
-        ASSERT_DOUBLE_EQ(restored.query(n).value, original.query(n).value)
-            << "i=" << i << " n=" << n;
-        ASSERT_EQ(restored.query(n).exact, original.query(n).exact);
-      }
-    }
-  }
-}
-
-TEST(TsSumWaveCheckpointTest, ReplayAfterRestoreMatchesOriginal) {
-  const std::uint64_t window = 64;
-  const std::uint64_t max_per = 4 * window;
-  const std::uint64_t max_value = 30;
-  stream::UniformValues step(0, 2, 29);
-  stream::UniformValues vals(0, max_value, 31);
-  TsSumWave original(4, window, max_per, max_value);
-  std::uint64_t pos = 1;
-  for (std::uint64_t i = 0; i < 10 * window; ++i) {
-    pos += step.next();
-    original.update(pos, vals.next());
-  }
-  TsSumWave restored =
-      TsSumWave::restore(4, window, max_per, max_value, original.checkpoint());
-  for (std::uint64_t n = 1; n <= window; n += 7) {
-    ASSERT_DOUBLE_EQ(restored.query(n).value, original.query(n).value);
-  }
-  for (std::uint64_t i = 0; i < 8 * window; ++i) {
-    pos += step.next();
-    const std::uint64_t v = vals.next();
-    original.update(pos, v);
-    restored.update(pos, v);
-    if (i % 13 == 0) {
-      for (std::uint64_t n : {std::uint64_t{1}, window / 2 + 1, window}) {
-        ASSERT_DOUBLE_EQ(restored.query(n).value, original.query(n).value)
-            << "i=" << i << " n=" << n;
-        ASSERT_EQ(restored.query(n).exact, original.query(n).exact);
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "core/distinct_wave.hpp"
 #include "core/rand_wave.hpp"
 #include "distributed/party.hpp"
+#include "distributed/wire.hpp"
 #include "gf2/shared_randomness.hpp"
 #include "recovery/delta_chain.hpp"
 
@@ -227,6 +228,16 @@ void undecodable_bodies_are_rejected() {
   before.expect_kept_by(mirror);
   EXPECT_FALSE(mirror.apply(0, 0, full, err));
   before.expect_kept_by(mirror);
+  // Full bodies whose one wave has no levels, or two levels but one
+  // evicted bound: a snapshot reads one bound per level, so both are
+  // refused at decode. Count and distinct share this byte layout.
+  //           cursor waves pos levels  [len len] bounds [bound]
+  const Bytes no_levels = {1, 1, 5, 0, 0};
+  const Bytes short_bounds = {1, 1, 5, 2, 0, 0, 1, 0};
+  for (const Bytes& shape : {no_levels, short_bounds}) {
+    EXPECT_FALSE(mirror.apply(0, enc.cursor(), shape, err));
+    before.expect_kept_by(mirror);
+  }
 
   // The chain moved past the mirror with the refused body: rebase on a
   // fresh full body, then take a delta the mirror does hold.
@@ -247,6 +258,22 @@ void undecodable_bodies_are_rejected() {
     EXPECT_FALSE(mirror.apply(base2, enc.cursor(), prefix, err));
     rebased.expect_kept_by(mirror);
   }
+  // The delta plus one more wave, past the held count, in diff form with
+  // no levels: there is nothing to diff it against.
+  Bytes grown;
+  std::size_t at = 0;
+  std::uint64_t cursor = 0, waves = 0;
+  ASSERT_TRUE(distributed::get_varint(delta, at, cursor) &&
+              distributed::get_varint(delta, at, waves));
+  distributed::put_varint(grown, cursor);
+  distributed::put_varint(grown, waves + 1);
+  grown.insert(grown.end(), delta.begin() + static_cast<std::ptrdiff_t>(at),
+               delta.end());
+  for (const std::uint64_t v : {0, 5, 0}) {  // flags: diff, pos, levels
+    distributed::put_varint(grown, v);
+  }
+  EXPECT_FALSE(mirror.apply(base2, enc.cursor(), grown, err));
+  rebased.expect_kept_by(mirror);
   // Failed applies left only scratch dirty; the real delta still folds.
   ASSERT_TRUE(mirror.apply(base2, enc.cursor(), delta, err)) << err;
   expect_mirrors<F>(mirror, *party);

@@ -13,7 +13,8 @@
 # checkpoint; kill -9 mid-ingest recovers from --state-dir with parity
 # intact; a corrupt checkpoint.bin is rejected by CRC and full replay keeps
 # parity; a WAVES_FAULTS total partition fails closed and the deployment
-# answers bit-identically once faults subside.
+# answers bit-identically once faults subside; a restart with another
+# --window rejects its checkpoint and replays in full.
 #
 # Usage: net_loopback_test.sh <path-to-waved> <path-to-wavecli>
 #
@@ -306,6 +307,24 @@ diff -u "$TMP/local_basic.out" "$TMP/io_recovered.out" >&2 ||
   fail "recovered deployment differs from the in-process answer"
 echo "IO-CRASH: kill -9 -> restart -> parity holds"
 stop_daemons
+
+# --- Restart with another --window: the checkpoint no longer fits the ---
+# --- party's waves, so it is rejected and the daemon replays in full. ---
+for window in 1000 100000; do
+  log="$TMP/window_$window.log"
+  set +e
+  "$WAVED" --role count --port 0 --instances 2 --window "$window" \
+    --items 5000 --state-dir "$STATE/window" --serve-seconds 1 >"$log" 2>&1
+  rc=$?
+  set -e
+  [[ $rc -eq 0 ]] ||
+    { cat "$log" >&2; fail "count waved --window $window exited $rc"; }
+  grep -q 'WAVED READY .*items=5000' "$log" ||
+    fail "count waved --window $window never READY"
+done
+grep -q 'WAVED CHECKPOINT REJECTED reason=bad-body' "$TMP/window_100000.log" ||
+  fail "a checkpoint from another --window must be rejected"
+echo "WINDOW-RESTART count: checkpoint rejected, full replay, exit 0"
 
 # --- Continuous monitoring: hub + watcher parity, kill -9 epoch resync. ---
 # Four count daemons (party 0 state-backed so its epoch persists), one

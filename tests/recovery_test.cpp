@@ -19,8 +19,6 @@
 #include "core/distinct_wave.hpp"
 #include "core/rand_wave.hpp"
 #include "core/sum_wave.hpp"
-#include "core/ts_sum_wave.hpp"
-#include "core/ts_wave.hpp"
 #include "distributed/party.hpp"
 #include "gf2/shared_randomness.hpp"
 #include "net/client.hpp"
@@ -65,13 +63,6 @@ void expect_same(const core::SumWaveCheckpoint& a,
   }
 }
 
-void expect_same(const core::TsSumWaveCheckpoint& a,
-                 const core::TsSumWaveCheckpoint& b) {
-  core::SumWaveCheckpoint x{a.pos, a.total, a.discarded_z, a.entries};
-  core::SumWaveCheckpoint y{b.pos, b.total, b.discarded_z, b.entries};
-  expect_same(x, y);
-}
-
 TEST(RecoveryCodec, DetWaveCheckpointRoundTrip) {
   core::DetWave w(4, 64);
   stream::BernoulliBits gen(0.4, 11);
@@ -110,53 +101,6 @@ TEST(RecoveryCodec, SumWaveCheckpointRoundTrip) {
 
   core::SumWave r = core::SumWave::restore(4, 64, 50, out);
   EXPECT_DOUBLE_EQ(r.query(64).value, w.query(64).value);
-}
-
-TEST(RecoveryCodec, TsWaveCheckpointRoundTrip) {
-  core::TsWave w(4, 128, 128);
-  stream::BernoulliBits gen(0.5, 23);
-  std::uint64_t pos = 0;
-  for (int i = 0; i < 600; ++i) {
-    pos += (i % 7 == 0) ? 3 : 1;  // timestamp gaps and repeats
-    w.update(pos, gen.next());
-  }
-  const auto ck = w.checkpoint();
-
-  Bytes buf;
-  put_checkpoint(buf, ck);
-  core::TsWaveCheckpoint out;
-  std::size_t at = 0;
-  ASSERT_TRUE(get_checkpoint(buf, at, out));
-  EXPECT_EQ(at, buf.size());
-  EXPECT_EQ(ck.pos, out.pos);
-  EXPECT_EQ(ck.rank, out.rank);
-  EXPECT_EQ(ck.discarded_rank, out.discarded_rank);
-  EXPECT_EQ(ck.entries, out.entries);
-
-  core::TsWave r = core::TsWave::restore(4, 128, 128, out);
-  EXPECT_DOUBLE_EQ(r.query(128).value, w.query(128).value);
-}
-
-TEST(RecoveryCodec, TsSumWaveCheckpointRoundTrip) {
-  core::TsSumWave w(4, 128, 128, 50);
-  stream::UniformValues gen(0, 50, 29);
-  std::uint64_t pos = 0;
-  for (int i = 0; i < 600; ++i) {
-    pos += (i % 5 == 0) ? 4 : 1;
-    w.update(pos, gen.next());
-  }
-  const auto ck = w.checkpoint();
-
-  Bytes buf;
-  put_checkpoint(buf, ck);
-  core::TsSumWaveCheckpoint out;
-  std::size_t at = 0;
-  ASSERT_TRUE(get_checkpoint(buf, at, out));
-  EXPECT_EQ(at, buf.size());
-  expect_same(ck, out);
-
-  core::TsSumWave r = core::TsSumWave::restore(4, 128, 128, 50, out);
-  EXPECT_DOUBLE_EQ(r.query(128).value, w.query(128).value);
 }
 
 TEST(RecoveryCodec, RandWaveCheckpointRoundTrip) {
@@ -328,6 +272,48 @@ TEST(RecoveryCodec, PartyCheckpointsRoundTrip) {
     EXPECT_DOUBLE_EQ(again.query(64).value, sum.query(64).value);
     EXPECT_EQ(again.items(), sum.items());
   }
+}
+
+TEST(RecoveryRestore, CheckpointFromAnotherWindowIsRefused) {
+  // The window fixes each wave's level count, so a checkpoint a party built
+  // with another window (or instance count) wrote cannot be restored: the
+  // party refuses it and stays empty, ready for a full replay.
+  distributed::CountParty wide({.eps = 0.3, .window = 1 << 14, .c = 8}, 2,
+                               42);
+  stream::BernoulliBits bits(0.5, 3);
+  for (int i = 0; i < 900; ++i) wide.observe(bits.next());
+  const distributed::CountPartyCheckpoint count_ck = wide.checkpoint();
+  for (const auto& [window, instances] :
+       {std::pair{std::uint64_t{64}, 2}, std::pair{std::uint64_t{1} << 14, 3}}) {
+    distributed::CountParty party({.eps = 0.3, .window = window, .c = 8},
+                                  instances, 42);
+    EXPECT_FALSE(party.restore(count_ck)) << window;
+    EXPECT_EQ(party.items_observed(), 0u);
+    for (const core::RandWaveCheckpoint& w : party.checkpoint().waves) {
+      for (const auto& q : w.queues) EXPECT_TRUE(q.empty());
+    }
+  }
+  distributed::CountParty same({.eps = 0.3, .window = 1 << 14, .c = 8}, 2, 42);
+  ASSERT_TRUE(same.restore(count_ck));
+  EXPECT_EQ(same.items_observed(), 900u);
+
+  const core::DistinctWave::Params wide_p{
+      .eps = 0.4, .window = 1 << 14, .max_value = 4096, .c = 8};
+  distributed::DistinctParty dwide(wide_p, 2, 42);
+  stream::UniformValues vals(0, 4096, 9);
+  for (int i = 0; i < 900; ++i) dwide.observe(vals.next());
+  const distributed::DistinctPartyCheckpoint distinct_ck = dwide.checkpoint();
+  core::DistinctWave::Params narrow_p = wide_p;
+  narrow_p.window = 64;
+  distributed::DistinctParty narrow(narrow_p, 2, 42);
+  EXPECT_FALSE(narrow.restore(distinct_ck));
+  EXPECT_EQ(narrow.items_observed(), 0u);
+  for (const core::DistinctWaveCheckpoint& w : narrow.checkpoint().waves) {
+    for (const auto& level : w.levels) EXPECT_TRUE(level.empty());
+  }
+  distributed::DistinctParty dsame(wide_p, 2, 42);
+  ASSERT_TRUE(dsame.restore(distinct_ck));
+  EXPECT_EQ(dsame.items_observed(), 900u);
 }
 
 TEST(RecoveryCodec, DecodeIsAllOrNothing) {

@@ -202,7 +202,8 @@ struct Durability {
 
 // Load + validate the checkpoint body for the daemon's role; on success
 // calls `apply(body)` which returns the restored cursor (or nullopt when
-// the body is structurally incompatible, e.g. wrong instance count).
+// the body is structurally incompatible, e.g. another instance count or
+// window).
 // Returns the items already accounted for (0 on any fallback-to-empty).
 template <typename Apply>
 std::uint64_t try_restore(Durability& dur, Apply apply) {
@@ -224,8 +225,8 @@ std::uint64_t try_restore(Durability& dur, Apply apply) {
   const std::optional<std::uint64_t> cursor = apply(body);
   if (!cursor) {
     // The envelope was intact but the body doesn't fit this deployment
-    // shape (different --instances / a decode bug): same fallback as
-    // corruption, and counted the same way.
+    // shape (different --instances or --window / a decode bug): same
+    // fallback as corruption, and counted the same way.
     waves::obs::RecoveryObs::instance().checkpoints_rejected.add();
     std::printf("WAVED CHECKPOINT REJECTED reason=bad-body\n");
     std::fflush(stdout);
@@ -416,12 +417,9 @@ int main(int argc, char** argv) {
         [&party](const recovery::Bytes& body)
             -> std::optional<std::uint64_t> {
           distributed::CountPartyCheckpoint ck;
-          if (!recovery::decode(body, ck) ||
-              ck.waves.size() !=
-                  static_cast<std::size_t>(party.instances())) {
+          if (!recovery::decode(body, ck) || !party.restore(ck)) {
             return std::nullopt;
           }
-          party.restore(ck);
           return ck.cursor;
         },
         [&party, &bits](std::uint64_t from, std::uint64_t n) {
@@ -450,12 +448,9 @@ int main(int argc, char** argv) {
         [&party](const recovery::Bytes& body)
             -> std::optional<std::uint64_t> {
           distributed::DistinctPartyCheckpoint ck;
-          if (!recovery::decode(body, ck) ||
-              ck.waves.size() !=
-                  static_cast<std::size_t>(party.instances())) {
+          if (!recovery::decode(body, ck) || !party.restore(ck)) {
             return std::nullopt;
           }
-          party.restore(ck);
           return ck.cursor;
         },
         [&party, &values](std::uint64_t from, std::uint64_t n) {
