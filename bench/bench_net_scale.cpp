@@ -3,8 +3,8 @@
 // Two claims under test, one per phase:
 //
 //   query   Hundreds of open connections driven by a bounded worker pool
-//           (tools/loadgen.hpp): readiness dispatch plus a small worker
-//           pool serves them on a handful of threads, with a bounded p99.
+//           (tools/loadgen.hpp): the server's one loop thread answers them
+//           all, with a bounded p99.
 //   idle    Thousands of push subscriptions that never push cost an fd, a
 //           state machine, and a timer-wheel slot each — not a thread.
 //           Resident thread count and RSS-per-subscription show it. The

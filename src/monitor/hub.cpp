@@ -222,9 +222,10 @@ void MonitorHub::recompute() {
         next.status = distributed::QueryStatus::kFailed;
         break;
     }
-  }
-  {
-    std::lock_guard lk(est_mu_);
+    // Publish under mu_ too (lock order mu_ -> est_mu_): two legs whose
+    // merges ran in one order must publish in that order, or the older
+    // merge could land last and stand on a quiescent stream.
+    std::lock_guard est_lk(est_mu_);
     next.revision = est_.revision + 1;
     est_ = next;
   }

@@ -178,6 +178,7 @@ class MonitorHub {
   std::unique_ptr<distributed::CountParty> count_ref_;
   std::unique_ptr<distributed::DistinctParty> distinct_ref_;
 
+  // Lock order: mu_ before est_mu_ (recompute publishes under both).
   mutable std::mutex mu_;  // mirrors and the round buffers
   std::vector<PartyMirror> mirrors_;
   distributed::RoundBuffers<core::RandWaveSnapshot> count_round_;
@@ -192,12 +193,12 @@ class MonitorHub {
   net::Listener listener_;
   std::vector<std::jthread> legs_;
 
-  // Event-loop watcher core: one loop multiplexes every watcher, pushes go
-  // through non-blocking write queues with latest-wins estimate
-  // coalescing. Party legs stay threads — there are only ever a handful,
-  // and they block in read_frame by design. Opaque here (defined in
-  // hub_loop.cpp) with a custom deleter so this header needs no event-loop
-  // types.
+  // Watcher fan-out on the connection core (net/conn_core.hpp): one loop
+  // multiplexes every watcher, pushes go through non-blocking write
+  // queues with latest-wins estimate coalescing. Party legs stay threads —
+  // there are only ever a handful, and they block in read_frame by design.
+  // Opaque here (defined in hub_loop.cpp) with a custom deleter so this
+  // header needs no event-loop types.
   struct WatchCore;
   struct WatchCoreDeleter {
     void operator()(WatchCore* core) const;

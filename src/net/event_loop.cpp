@@ -326,63 +326,4 @@ void EventLoop::run(const std::stop_token& st) {
   }
 }
 
-WorkerPool::WorkerPool(std::size_t workers) {
-  threads_.reserve(std::max<std::size_t>(1, workers));
-  for (std::size_t i = 0; i < std::max<std::size_t>(1, workers); ++i) {
-    threads_.emplace_back(
-        [this](const std::stop_token& st) { worker_loop(st); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard lk(mu_);
-    stopping_ = true;
-  }
-  for (auto& t : threads_) t.request_stop();
-  cv_.notify_all();
-  threads_.clear();  // jthread dtor joins
-}
-
-void WorkerPool::submit(std::function<void()> job) {
-  {
-    std::lock_guard lk(mu_);
-    if (stopping_) return;
-    q_.push_back(std::move(job));
-    obs::NetLoopObs::instance().queue_depth.set(static_cast<double>(q_.size()));
-  }
-  cv_.notify_one();
-}
-
-std::size_t WorkerPool::queue_depth() const {
-  std::lock_guard lk(mu_);
-  return q_.size();
-}
-
-void WorkerPool::worker_loop(const std::stop_token& st) {
-  while (true) {
-    std::function<void()> job;
-    {
-      std::unique_lock lk(mu_);
-      cv_.wait(lk, [&] {
-        return stopping_ || st.stop_requested() || !q_.empty();
-      });
-      if (q_.empty()) {
-        if (stopping_ || st.stop_requested()) return;
-        continue;
-      }
-      job = std::move(q_.front());
-      q_.pop_front();
-      obs::NetLoopObs::instance().queue_depth.set(
-          static_cast<double>(q_.size()));
-    }
-    job();
-  }
-}
-
-std::size_t default_worker_count() {
-  const unsigned hw = std::thread::hardware_concurrency();
-  return std::clamp<std::size_t>(hw == 0 ? 2 : hw / 2, 2, 8);
-}
-
 }  // namespace waves::net

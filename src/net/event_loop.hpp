@@ -1,7 +1,6 @@
 // Readiness-driven I/O core: one EventLoop thread multiplexes every
-// connection of a listening component, and a small fixed WorkerPool runs
-// the synopsis work (checkpoint walks, delta encodes) so the loop thread
-// never blocks on a party lock.
+// connection of a listening component (net/conn_core.hpp builds the
+// connection handling on top of it).
 //
 // EventLoop is epoll(7)-backed on Linux with a poll(2) fallback selected at
 // construction (and used everywhere epoll is unavailable), so the same
@@ -20,8 +19,8 @@
 //           a drift check is a wheel entry, not a sleeping thread.
 //   post    post() marshals a closure from any thread onto the loop thread
 //           (mutex-guarded queue + eventfd/pipe wakeup); the loop drains
-//           the queue before each poll. Worker-pool completions use this
-//           to rejoin their connection's state machine.
+//           the queue before each poll. The hub's estimate fan-out enters
+//           the loop this way.
 //
 // Threading contract: add_fd/mod_fd/del_fd/arm_timer/cancel_timer are
 // loop-thread-only; post() and wake() are thread-safe. Handlers run on the
@@ -32,12 +31,10 @@
 #include <poll.h>
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
-#include <thread>
+#include <stop_token>
 #include <unordered_map>
 #include <vector>
 
@@ -136,34 +133,5 @@ class EventLoop {
   std::vector<std::function<void()>> posted_;
   std::vector<std::function<void()>> posted_scratch_;
 };
-
-/// Fixed-size worker pool: submit() enqueues, workers drain FIFO. The
-/// depth gauge (waves_net_loop_queue_depth) tracks jobs queued but not yet
-/// started — the loop's backlog signal.
-class WorkerPool {
- public:
-  explicit WorkerPool(std::size_t workers);
-  ~WorkerPool();  // stops and joins; queued-but-unstarted jobs are dropped
-
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  void submit(std::function<void()> job);
-  [[nodiscard]] std::size_t queue_depth() const;
-  [[nodiscard]] std::size_t size() const noexcept { return threads_.size(); }
-
- private:
-  void worker_loop(const std::stop_token& st);
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::function<void()>> q_;
-  bool stopping_ = false;
-  std::vector<std::jthread> threads_;
-};
-
-/// Worker count for a server core: bounded small — the pool exists to keep
-/// synopsis work off the loop thread, not to scale with connections.
-[[nodiscard]] std::size_t default_worker_count();
 
 }  // namespace waves::net

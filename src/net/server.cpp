@@ -116,10 +116,14 @@ recovery::AggPartyCheckpoint AggPartyState::checkpoint() const {
   return recovery::AggPartyCheckpoint{items_, wave_.checkpoint()};
 }
 
-void AggPartyState::restore(const recovery::AggPartyCheckpoint& ck) {
+bool AggPartyState::restore(const recovery::AggPartyCheckpoint& ck) {
   std::lock_guard lk(mu_);
+  if (ck.wave.values.size() != std::min(ck.wave.pos, wave_.window())) {
+    return false;
+  }
   wave_ = agg::AggWave::restore(wave_.op(), wave_.window(), ck.wave);
   items_ = ck.cursor;
+  return true;
 }
 
 PartyServer::PartyServer(ServerConfig cfg, distributed::CountParty* party)
@@ -270,7 +274,7 @@ void PartyServer::pull_reply(const Party& party, PullChain<Encoder>& st,
   (r.base_cursor != 0 ? obs.delta_replies : obs.delta_full).add();
 }
 
-void PartyServer::answer(const SnapshotRequest& req, Outbox& out) {
+void PartyServer::answer(Session& s, const SnapshotRequest& req) {
   // Server-side handling span. When the request carries a trace context
   // (extension tag 2) this joins the client's trace: a later format=trace
   // scrape of this process returns it under the same trace id, and
@@ -279,9 +283,9 @@ void PartyServer::answer(const SnapshotRequest& req, Outbox& out) {
       "party.answer", obs::TraceContext{req.trace_id, req.parent_span_id});
   span.set("party", static_cast<double>(cfg_.party_id));
   span.set("n", static_cast<double>(req.n));
-  auto send = [&](MsgType type, Bytes payload) {
+  auto send = [&](MsgType type, const Bytes& payload) {
     span.set("reply_bytes", static_cast<double>(payload.size()));
-    out.push_back(OutFrame{type, std::move(payload)});
+    reply(s, type, payload);
   };
 
   if (req.role != role_) {
@@ -344,8 +348,7 @@ void PartyServer::answer(const SnapshotRequest& req, Outbox& out) {
   }
 }
 
-void PartyServer::subscribe(const SubscribeRequest& req, Subscription& sub,
-                            Outbox& out) {
+void PartyServer::subscribe(Session& s, const SubscribeRequest& req) {
   const auto& mobs = obs::MonitorPartyObs::instance();
   // Joins the subscriber's trace (tag 2) like party.answer does, so one
   // `wavecli hub` bring-up stitches across processes.
@@ -358,6 +361,7 @@ void PartyServer::subscribe(const SubscribeRequest& req, Subscription& sub,
   // per-subscription and this one is new — so per the DeltaReply fallback
   // rule the chain always opens with a full body; the field is accepted
   // for forward compatibility with server-side persistent baselines.
+  Subscription& sub = s.sub;
   sub = Subscription{};
   sub.active = true;
   sub.request_id = req.request_id;
@@ -367,11 +371,12 @@ void PartyServer::subscribe(const SubscribeRequest& req, Subscription& sub,
                   ? std::chrono::milliseconds(req.check_every_ms)
                   : cfg_.push_check;
   mobs.subscribes.add();
-  push_update(sub, out);
+  push_update(s);
 }
 
-void PartyServer::push_update(Subscription& sub, Outbox& out) {
+void PartyServer::push_update(Session& s) {
   const auto& mobs = obs::MonitorPartyObs::instance();
+  Subscription& sub = s.sub;
   PushUpdate u;
   u.request_id = sub.request_id;
   u.seq = sub.seq + 1;
@@ -423,11 +428,12 @@ void PartyServer::push_update(Subscription& sub, Outbox& out) {
   } else {
     mobs.push_delta.add();
   }
-  out.push_back(OutFrame{MsgType::kPushUpdate, std::move(payload)});
+  reply(s, MsgType::kPushUpdate, payload);
 }
 
-void PartyServer::drift_tick(Subscription& sub, Outbox& out) {
+void PartyServer::drift_tick(Session& s) {
   const auto& mobs = obs::MonitorPartyObs::instance();
+  Subscription& sub = s.sub;
   mobs.push_checks.add();
   switch (role_) {
     case PartyRole::kCount:
@@ -444,7 +450,7 @@ void PartyServer::drift_tick(Subscription& sub, Outbox& out) {
           static_cast<double>(items - pushed) < sub.slack) {
         return;
       }
-      push_update(sub, out);
+      push_update(s);
       return;
     }
     case PartyRole::kBasic: {
@@ -455,7 +461,7 @@ void PartyServer::drift_tick(Subscription& sub, Outbox& out) {
       sub.last_change = cc;
       const double v = basic_->query(sub.n).value;
       if (std::abs(v - sub.pushed_value) < sub.slack) return;
-      push_update(sub, out);
+      push_update(s);
       return;
     }
     case PartyRole::kSum: {
@@ -464,7 +470,7 @@ void PartyServer::drift_tick(Subscription& sub, Outbox& out) {
       sub.last_change = cc;
       const double v = sum_->query(sub.n).value;
       if (std::abs(v - sub.pushed_value) < sub.slack) return;
-      push_update(sub, out);
+      push_update(s);
       return;
     }
     case PartyRole::kAgg:
@@ -472,37 +478,39 @@ void PartyServer::drift_tick(Subscription& sub, Outbox& out) {
   }
 }
 
-PartyServer::ConnAction PartyServer::process_frame(const Frame& frame,
-                                                   Subscription& sub,
-                                                   Outbox& out) {
+void PartyServer::process_frame(Session& s, MsgType type,
+                                const Bytes& payload) {
   const auto& obs = obs::NetServerObs::instance();
   auto err_out = [&](std::uint64_t request_id, ErrCode code,
                      std::string message) {
-    out.push_back(OutFrame{
-        MsgType::kErr,
-        ErrReply{request_id, code, std::move(message)}.encode()});
+    reply(s, MsgType::kErr,
+          ErrReply{request_id, code, std::move(message)}.encode());
+  };
+  // A frame that loses the protocol: its Err is the last reply.
+  auto fail = [&](const char* message) {
+    obs.frame_errors.add();
+    err_out(0, ErrCode::kBadRequest, message);
+    core_->finish(s);
   };
 
-  switch (frame.type) {
+  switch (type) {
     case MsgType::kHello: {
       Hello hello;
-      if (!Hello::decode(frame.payload, hello)) {
-        obs.frame_errors.add();
-        err_out(0, ErrCode::kBadRequest, "bad hello");
-        return ConnAction::kClose;
+      if (!Hello::decode(payload, hello)) {
+        fail("bad hello");
+        return;
       }
-      out.push_back(OutFrame{MsgType::kHelloAck, hello_ack().encode()});
+      reply(s, MsgType::kHelloAck, hello_ack().encode());
       break;
     }
     case MsgType::kSnapshotRequest: {
       obs.requests.add();
       SnapshotRequest req;
-      if (!SnapshotRequest::decode(frame.payload, req)) {
-        obs.frame_errors.add();
-        err_out(0, ErrCode::kBadRequest, "bad snapshot request");
-        return ConnAction::kClose;
+      if (!SnapshotRequest::decode(payload, req)) {
+        fail("bad snapshot request");
+        return;
       }
-      answer(req, out);
+      answer(s, req);
       break;
     }
     case MsgType::kMetricsRequest: {
@@ -510,10 +518,9 @@ PartyServer::ConnAction PartyServer::process_frame(const Frame& frame,
       // scrape-only connection (wavecli metrics --connect, the CI schema
       // check) sends this as its first frame.
       MetricsRequest req;
-      if (!MetricsRequest::decode(frame.payload, req)) {
-        obs.frame_errors.add();
-        err_out(0, ErrCode::kBadRequest, "bad metrics request");
-        return ConnAction::kClose;
+      if (!MetricsRequest::decode(payload, req)) {
+        fail("bad metrics request");
+        return;
       }
       MetricsReply r;
       r.request_id = req.request_id;
@@ -530,7 +537,7 @@ PartyServer::ConnAction PartyServer::process_frame(const Frame& frame,
           r.text = obs::trace_text(req.trace_filter);
           break;
       }
-      out.push_back(OutFrame{MsgType::kMetricsReply, r.encode()});
+      reply(s, MsgType::kMetricsReply, r.encode());
       break;
     }
     case MsgType::kHealthRequest: {
@@ -538,23 +545,20 @@ PartyServer::ConnAction PartyServer::process_frame(const Frame& frame,
       // required: a supervisor's probe connection sends this as its
       // first frame and never touches snapshot state.
       HealthRequest req;
-      if (!HealthRequest::decode(frame.payload, req)) {
-        obs.frame_errors.add();
-        err_out(0, ErrCode::kBadRequest, "bad health request");
-        return ConnAction::kClose;
+      if (!HealthRequest::decode(payload, req)) {
+        fail("bad health request");
+        return;
       }
-      out.push_back(
-          OutFrame{MsgType::kHealthReply, health_reply(req.request_id).encode()});
+      reply(s, MsgType::kHealthReply, health_reply(req.request_id).encode());
       obs.health_probes.add();
       break;
     }
     case MsgType::kSubscribe: {
       obs.requests.add();
       SubscribeRequest req;
-      if (!SubscribeRequest::decode(frame.payload, req)) {
-        obs.frame_errors.add();
-        err_out(0, ErrCode::kBadRequest, "bad subscribe request");
-        return ConnAction::kClose;
+      if (!SubscribeRequest::decode(payload, req)) {
+        fail("bad subscribe request");
+        return;
       }
       // Typed rejections keep the connection: the request parsed fine,
       // the framing is intact, and the peer may fall back to polling.
@@ -573,30 +577,27 @@ PartyServer::ConnAction PartyServer::process_frame(const Frame& frame,
                 std::string("party serves role ") + role_name(role_));
         break;
       }
-      subscribe(req, sub, out);
+      subscribe(s, req);
       break;
     }
     case MsgType::kUnsubscribe: {
       Unsubscribe req;
-      if (!Unsubscribe::decode(frame.payload, req)) {
-        obs.frame_errors.add();
-        err_out(0, ErrCode::kBadRequest, "bad unsubscribe");
-        return ConnAction::kClose;
+      if (!Unsubscribe::decode(payload, req)) {
+        fail("bad unsubscribe");
+        return;
       }
       // No reply by design: frames are processed in order, so the next
       // request/reply exchange on this connection is unambiguous.
-      sub = Subscription{};
+      s.sub = Subscription{};
       obs::MonitorPartyObs::instance().unsubscribes.add();
       break;
     }
     default: {
-      obs.frame_errors.add();
-      err_out(0, ErrCode::kBadRequest, "unexpected message type");
-      return ConnAction::kClose;
+      fail("unexpected message type");
+      return;
     }
   }
-  if (sub.active) drift_tick(sub, out);
-  return ConnAction::kKeep;
+  if (s.sub.active) drift_tick(s);
 }
 
 }  // namespace waves::net

@@ -4,14 +4,14 @@
 // Hello / SnapshotRequest messages. The `waved` daemon is a thin CLI shell
 // around this class; tests and benches embed it in-process.
 //
-// Concurrency: one EventLoop thread multiplexes every connection and a
-// small fixed worker pool runs the synopsis work (server_loop.cpp);
-// push-drift checks are timer-wheel entries, so thousands of idle
-// subscriptions cost no threads (net/event_loop.hpp). The frame logic
-// (process_frame below) is transport-independent. Backends are internally
-// locked (the parties) or locked here (the totals states), so an ingestion
-// thread may keep feeding while the referee queries — the model's "parties
-// observe, referee asks" split.
+// Concurrency: the connection core (net/conn_core.hpp) runs one EventLoop
+// thread for every connection, and process_frame below answers each frame
+// on that thread, straight into the connection's write queue. Push-drift
+// checks are timer-wheel entries, so thousands of idle subscriptions cost
+// no threads. Backends are internally locked (the parties) or locked here
+// (the totals states), so an ingestion thread may keep feeding while the
+// referee queries — the model's "parties observe, referee asks" split. An
+// answer waits for the party lock while an ingest batch holds it.
 #pragma once
 
 #include <atomic>
@@ -27,6 +27,7 @@
 #include "core/det_wave.hpp"
 #include "core/sum_wave.hpp"
 #include "distributed/party.hpp"
+#include "net/conn_core.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "net/socket.hpp"
@@ -113,8 +114,11 @@ class AggPartyState {
   [[nodiscard]] agg::AggOp op() const noexcept { return wave_.op(); }
 
   [[nodiscard]] recovery::AggPartyCheckpoint checkpoint() const;
-  /// Same contract as BasicPartyState::restore.
-  void restore(const recovery::AggPartyCheckpoint& ck);
+  /// Replace the wave with the checkpointed state. False, touching
+  /// nothing, when the checkpoint cannot come from a wave of this window
+  /// (it holds other than min(pos, window) values): a daemon restarted
+  /// with another --window replays instead.
+  [[nodiscard]] bool restore(const recovery::AggPartyCheckpoint& ck);
 
  private:
   mutable std::mutex mu_;
@@ -144,8 +148,6 @@ struct ServerConfig {
   // watcher stampede or a socket leak degrades loudly instead of
   // exhausting the daemon.
   std::size_t max_connections = 64;
-  // Worker threads for the synopsis work (0 = default_worker_count()).
-  std::size_t io_workers = 0;
 };
 
 /// One party daemon: serves exactly one role, determined by which backend
@@ -169,7 +171,7 @@ class PartyServer {
     return listener_.port();
   }
   [[nodiscard]] PartyRole role() const noexcept { return role_; }
-  /// Stop accepting, join the loop and workers, close the listener.
+  /// Stop accepting, join the loop thread, close the listener.
   /// Idempotent.
   void stop();
   /// Graceful shutdown: stop accepting new connections immediately, then
@@ -227,36 +229,31 @@ class PartyServer {
     recovery::DistinctDeltaEncoder distinct_chain;
   };
 
-  // Frames the loop must write for one processed request, in order.
-  struct OutFrame {
-    MsgType type;
-    Bytes payload;
-  };
-  using Outbox = std::vector<OutFrame>;
-  enum class ConnAction : std::uint8_t {
-    kKeep,   // connection stays in request/reply (or push) mode
-    kClose,  // protocol is lost or the exchange is terminal: flush + close
+  // One connection: the core's state plus its subscription.
+  struct Session : ConnCore::Conn {
+    Subscription sub;
+    EventLoop::TimerId drift_timer = 0;
   };
 
   [[nodiscard]] HelloAck hello_ack() const;
   [[nodiscard]] HealthReply health_reply(std::uint64_t request_id) const;
-  /// The transport-independent frame state machine: decode one frame,
-  /// append the reply frames (if any) to `out`, update the connection's
-  /// subscription. Runs the post-frame drift check. Called from pool
-  /// workers — everything it touches beyond `sub`/`out` is internally
-  /// locked.
-  [[nodiscard]] ConnAction process_frame(const Frame& frame, Subscription& sub,
-                                         Outbox& out);
-  /// Drift check + conditional push; called on every timer-wheel tick of
-  /// a subscribed connection.
-  void drift_tick(Subscription& sub, Outbox& out);
-  /// Builds the role-appropriate reply (or Err) for a decoded request.
-  void answer(const SnapshotRequest& req, Outbox& out);
-  /// Opens `sub` for a decoded kSubscribe and builds the initial
+  /// The frame state machine: decode one frame, queue its reply frames (if
+  /// any) on `s`, update its subscription, then run the drift check. A
+  /// frame that loses the protocol ends the connection after its reply.
+  void process_frame(Session& s, MsgType type, const Bytes& payload);
+  /// Drift check + conditional push; also called on every timer-wheel
+  /// tick of a subscribed connection.
+  void drift_tick(Session& s);
+  /// Queues the role-appropriate reply (or Err) for a decoded request.
+  void answer(Session& s, const SnapshotRequest& req);
+  /// Opens `s.sub` for a decoded kSubscribe and queues the initial
   /// full-state push (the ack).
-  void subscribe(const SubscribeRequest& req, Subscription& sub, Outbox& out);
+  void subscribe(Session& s, const SubscribeRequest& req);
   /// Unconditional push of the current state (initial ack, drift firing).
-  void push_update(Subscription& sub, Outbox& out);
+  void push_update(Session& s);
+  void reply(Session& s, MsgType type, const Bytes& payload) {
+    core_->send(s, type, payload);
+  }
   /// The DeltaReply fields for a pull request, off the shared pull chain.
   template <class Party, class Encoder>
   void pull_reply(const Party& party, PullChain<Encoder>& st,
@@ -280,13 +277,9 @@ class PartyServer {
   Clock::time_point started_ = Clock::now();
   std::atomic<std::uint64_t> last_checkpoint_ns_{0};
 
-  // Event-loop core (server_loop.cpp); null until start(). The
-  // out-of-line deleter keeps LoopCore fully private to that TU.
+  // The connection core (server_loop.cpp); null until start().
   struct LoopCore;
-  struct LoopCoreDeleter {
-    void operator()(LoopCore* core) const;
-  };
-  std::unique_ptr<LoopCore, LoopCoreDeleter> loop_;
+  std::unique_ptr<ConnCore> core_;
 };
 
 }  // namespace waves::net

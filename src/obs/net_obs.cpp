@@ -47,8 +47,7 @@ const NetLoopObs& NetLoopObs::instance() {
   static const NetLoopObs o{reg.counter("waves_net_loop_wakeups_total"),
                             reg.counter("waves_net_loop_events_total"),
                             reg.counter("waves_net_loop_timer_fires_total"),
-                            reg.counter("waves_net_loop_stalled_writes_total"),
-                            reg.gauge("waves_net_loop_queue_depth")};
+                            reg.counter("waves_net_loop_stalled_writes_total")};
   return o;
 }
 

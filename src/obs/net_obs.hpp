@@ -51,7 +51,6 @@
 //   waves_net_loop_timer_fires_total    timer-wheel entries fired
 //   waves_net_loop_stalled_writes_total flushes left bytes queued (peer's
 //                                       socket full — backpressure engaged)
-//   waves_net_loop_queue_depth          worker-pool jobs queued, not started
 #pragma once
 
 #include "obs/metrics.hpp"
@@ -101,7 +100,6 @@ struct NetLoopObs {
   const Counter& events;
   const Counter& timer_fires;
   const Counter& stalled_writes;
-  const Gauge& queue_depth;
 
   static const NetLoopObs& instance();
 };

@@ -202,6 +202,36 @@ TEST(AggCodec, PartyCheckpointRoundTripAndHostileInput) {
   }
 }
 
+TEST(AggCodec, PartyRestoreRefusesCheckpointFromAnotherWindow) {
+  // A checkpoint holds the last min(pos, window) values of the wave that
+  // wrote it. A party with a smaller or a larger window must refuse it,
+  // touching nothing, so a daemon restarted with another --window replays
+  // in full instead of aborting.
+  const auto vals = random_values(5000, 21, -1000, 1000);
+  net::AggPartyState written(agg::AggOp::kSum, 1000);
+  written.observe_batch(vals);
+  const recovery::AggPartyCheckpoint ck = written.checkpoint();
+  for (const std::uint64_t window : {std::uint64_t{100}, std::uint64_t{2000}}) {
+    net::AggPartyState party(agg::AggOp::kSum, window);
+    party.observe(7);
+    EXPECT_FALSE(party.restore(ck)) << window;
+    EXPECT_EQ(party.items(), 1u) << window;
+    EXPECT_EQ(party.value(), 7) << window;
+  }
+  net::AggPartyState same(agg::AggOp::kSum, 1000);
+  ASSERT_TRUE(same.restore(ck));
+  EXPECT_EQ(same.items(), 5000u);
+  EXPECT_EQ(same.value(), written.value());
+
+  // A stream shorter than both windows fits either one: the wave is the
+  // whole stream.
+  net::AggPartyState short_run(agg::AggOp::kSum, 1000);
+  short_run.observe_batch(std::span<const std::int64_t>(vals.data(), 50));
+  net::AggPartyState wider(agg::AggOp::kSum, 2000);
+  ASSERT_TRUE(wider.restore(short_run.checkpoint()));
+  EXPECT_EQ(wider.value(), short_run.value());
+}
+
 // -- TCP parity -------------------------------------------------------------
 
 TEST(AggNet, TcpQueryMatchesInProcessBitForBit) {

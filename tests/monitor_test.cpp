@@ -10,6 +10,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <sched.h>
 #include <sys/socket.h>
 
 #include <bit>
@@ -880,6 +881,87 @@ TEST(MonitorHub, GenerationBumpForcesResyncToParity) {
   }
 
   hub.stop();
+}
+
+TEST(MonitorHub, BringUpSettlesOnThePoll) {
+  // Every leg recomputes once its first push lands, so at bring-up the
+  // first t-1 legs publish kFailed (a mirror still missing) and the last
+  // publishes the all-live kOk. Those publications must land in merge
+  // order: an earlier leg's kFailed published after the kOk would stand
+  // for good on a quiescent stream, and the hub would never settle. With
+  // every leg thread on one CPU, the wakeup of the next leg waiting on the
+  // mirrors often preempts the leg that just merged, which is when the
+  // order can flip; many bring-ups of t=8 hubs must all still hold the
+  // polled estimate 30 ms after their first kOk.
+  constexpr int kT = 8;
+  constexpr int kRounds = 10;
+  constexpr int kHubs = 4;  // brought up at once
+  constexpr std::uint64_t kN = std::uint64_t{1} << 14;
+  const core::RandWave::Params params{.eps = 0.2, .window = kN, .c = 36};
+  stream::BernoulliBits base_gen(0.5, 5);
+  const auto base = stream::take(base_gen, 2 * kN);
+  const auto streams =
+      util::pack_streams(stream::correlated_streams(base, kT, 0.05, 6));
+  std::vector<std::unique_ptr<distributed::CountParty>> owners;
+  std::vector<const distributed::CountParty*> query;
+  std::vector<std::unique_ptr<net::PartyServer>> servers;
+  std::vector<net::Endpoint> endpoints;
+  for (int j = 0; j < kT; ++j) {
+    owners.push_back(
+        std::make_unique<distributed::CountParty>(params, kInstances, kSeed));
+    owners.back()->observe_batch(streams[static_cast<std::size_t>(j)]);
+    query.push_back(owners.back().get());
+    servers.push_back(std::make_unique<net::PartyServer>(net::ServerConfig{},
+                                                         owners.back().get()));
+    ASSERT_TRUE(servers.back()->start());
+    endpoints.push_back({"127.0.0.1", servers.back()->port()});
+  }
+  const core::Estimate direct = distributed::union_count(query, kN);
+  HubConfig cfg = hub_config(endpoints, net::PartyRole::kCount);
+  cfg.n = kN;
+  cfg.count_params = params;
+
+  // Pin this thread, and so every leg thread started below, to one CPU.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(::sched_getaffinity(0, sizeof saved, &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) {
+      CPU_SET(cpu, &one);
+      break;
+    }
+  }
+  ASSERT_EQ(::sched_setaffinity(0, sizeof one, &one), 0);
+  int stale = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<std::unique_ptr<MonitorHub>> hubs;
+    for (int h = 0; h < kHubs; ++h) {
+      hubs.push_back(std::make_unique<MonitorHub>(cfg));
+      ASSERT_TRUE(hubs.back()->start());
+    }
+    // Spin on estimate() rather than sleep: a leg on its way to publish
+    // then often finds the estimate lock taken and has to wait for it.
+    const auto give_up = std::chrono::steady_clock::now() +
+                         std::chrono::milliseconds(1000);
+    for (const auto& hub : hubs) {
+      while (hub->estimate().status != distributed::QueryStatus::kOk &&
+             std::chrono::steady_clock::now() < give_up) {
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    for (const auto& hub : hubs) {
+      const HubEstimate standing = hub->estimate();
+      if (standing.status != distributed::QueryStatus::kOk ||
+          standing.value != direct.value) {
+        ++stale;
+      }
+      hub->stop();
+    }
+  }
+  ::sched_setaffinity(0, sizeof saved, &saved);
+  EXPECT_EQ(stale, 0) << "of " << kRounds * kHubs << " bring-ups";
 }
 
 TEST(MonitorWatch, WatcherGetsAckThenRevisionDrivenUpdates) {

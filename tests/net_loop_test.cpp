@@ -1,10 +1,13 @@
 // Event-loop core tests: EventLoop timers/fds/post (both backends — epoll
-// and the poll(2) fallback), the WorkerPool, golden wire transcripts of
-// the party server, and the slow-loris deadline behavior of the
-// readiness-driven core. Suite names start with NetLoop so the TSan CI leg's
+// and the poll(2) fallback), golden wire transcripts of the party server,
+// and the slow-loris deadline and write-backpressure behavior of the
+// connection core. Suite names start with NetLoop so the TSan CI leg's
 // -R "...|Net" regex picks every test up.
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <fcntl.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 
 #include <array>
@@ -223,30 +226,6 @@ INSTANTIATE_TEST_SUITE_P(Backends, NetLoopBackend, ::testing::Bool(),
                          [](const ::testing::TestParamInfo<bool>& p) {
                            return std::string(p.param ? "epoll" : "poll");
                          });
-
-// ---------------------------------------------------------------------------
-// WorkerPool
-
-TEST(NetLoopPool, RunsEveryJobAcrossWorkers) {
-  WorkerPool pool(4);
-  EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.submit([&ran] { ran.fetch_add(1); });
-  }
-  const auto give_up = Clock::now() + 5s;
-  while (ran.load() < 200 && Clock::now() < give_up) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_EQ(ran.load(), 200);
-  EXPECT_EQ(pool.queue_depth(), 0u);
-}
-
-TEST(NetLoopPool, DefaultWorkerCountIsBoundedSmall) {
-  const std::size_t n = default_worker_count();
-  EXPECT_GE(n, 2u);
-  EXPECT_LE(n, 8u);
-}
 
 // ---------------------------------------------------------------------------
 // Live server over raw frames.
@@ -684,6 +663,85 @@ TEST(NetLoopSlowLoris, StalledPayloadExpiresToo) {
 
   char byte = 0;
   EXPECT_EQ(loris.recv_exact(&byte, 1, soon()), IoResult::kClosed);
+}
+
+// ---------------------------------------------------------------------------
+// Write backpressure: a peer that pipelines requests and never reads backs
+// its replies up into the server's write queue. The queue must not stall
+// the loop or grow without bound: once it has stayed non-empty for
+// io_deadline the server closes the peer, and other sessions are answered
+// the whole time.
+
+/// Connect with a minimal kernel receive buffer (set before connect so the
+/// advertised window stays tiny): the kernel absorbs only a few KB of
+/// replies before the server's queue takes the rest.
+Socket connect_tiny_rcvbuf(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &one, sizeof one);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  ::fcntl(fd, F_SETFL, O_NONBLOCK);
+  return Socket(fd);
+}
+
+TEST(NetLoopBackpressure, NonReadingPipelinerIsClosedOthersUnaffected) {
+  distributed::CountParty party(params(), 3, 9);
+  for (int i = 0; i < 3000; ++i) party.observe(i % 3 != 0);
+  ServerConfig cfg;
+  cfg.io_deadline = std::chrono::milliseconds(200);
+  PartyServer server(cfg, &party);
+  ASSERT_TRUE(server.start());
+
+  // The hog: tag-less count requests (each answered with a full-form
+  // reply of a few KB), pipelined in one burst and never read.
+  Socket hog = connect_tiny_rcvbuf(server.port());
+  ASSERT_TRUE(hog.valid());
+  SnapshotRequest req;
+  req.role = PartyRole::kCount;
+  req.n = 1024;
+  Bytes burst;
+  for (std::uint64_t i = 1; i <= 2000; ++i) {
+    req.request_id = i;
+    const Bytes payload = req.encode();
+    const auto header =
+        put_header(MsgType::kSnapshotRequest,
+                   static_cast<std::uint32_t>(payload.size()));
+    burst.insert(burst.end(), header.begin(), header.end());
+    burst.insert(burst.end(), payload.begin(), payload.end());
+  }
+  ASSERT_TRUE(hog.send_all(burst.data(), burst.size(), soon()));
+
+  // A healthy session is answered throughout, well past the hog's
+  // deadline.
+  RawConn healthy = RawConn::open(server.port());
+  EXPECT_EQ(healthy.exchange(MsgType::kHello, Hello{}.encode()).type,
+            MsgType::kHelloAck);
+  const auto until = Clock::now() + 3 * cfg.io_deadline;
+  int served = 0;
+  while (Clock::now() < until) {
+    req.request_id = static_cast<std::uint64_t>(served + 1);
+    ASSERT_EQ(healthy.exchange(MsgType::kSnapshotRequest, req.encode()).type,
+              MsgType::kDeltaReply);
+    ++served;
+    std::this_thread::sleep_for(10ms);
+  }
+  EXPECT_GT(served, 10);
+
+  // By now the hog is closed: reading what is left ends in EOF or a reset.
+  // A server still holding it open would stream the remaining replies and
+  // then go quiet, and this read would time out instead.
+  std::array<std::uint8_t, 4096> sink{};
+  IoResult r = IoResult::kOk;
+  const Deadline dl = soon();
+  while (r == IoResult::kOk) r = hog.recv_exact(sink.data(), sink.size(), dl);
+  EXPECT_NE(r, IoResult::kTimeout);
 }
 
 }  // namespace

@@ -325,6 +325,24 @@ done
 grep -q 'WAVED CHECKPOINT REJECTED reason=bad-body' "$TMP/window_100000.log" ||
   fail "a checkpoint from another --window must be rejected"
 echo "WINDOW-RESTART count: checkpoint rejected, full replay, exit 0"
+# The agg role, smaller window then larger: each run's checkpoint holds
+# other than min(items, window) values for the next, so both are rejected.
+for window in 1000 100 2000; do
+  log="$TMP/agg_window_$window.log"
+  set +e
+  "$WAVED" --role agg --port 0 --window "$window" --items 5000 \
+    --state-dir "$STATE/agg_window" --serve-seconds 0.3 >"$log" 2>&1
+  rc=$?
+  set -e
+  [[ $rc -eq 0 ]] ||
+    { cat "$log" >&2; fail "agg waved --window $window exited $rc"; }
+  grep -q 'WAVED READY .*items=5000' "$log" ||
+    fail "agg waved --window $window never READY"
+  [[ $window -eq 1000 ]] ||
+    grep -q 'WAVED CHECKPOINT REJECTED reason=bad-body' "$log" ||
+    fail "agg waved --window $window must reject the old checkpoint"
+done
+echo "WINDOW-RESTART agg: smaller and larger window replay, exit 0"
 
 # --- Continuous monitoring: hub + watcher parity, kill -9 epoch resync. ---
 # Four count daemons (party 0 state-backed so its epoch persists), one

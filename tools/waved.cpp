@@ -478,8 +478,9 @@ int main(int argc, char** argv) {
         [&party](const recovery::Bytes& body)
             -> std::optional<std::uint64_t> {
           recovery::AggPartyCheckpoint ck;
-          if (!recovery::decode(body, ck)) return std::nullopt;
-          party.restore(ck);
+          if (!recovery::decode(body, ck) || !party.restore(ck)) {
+            return std::nullopt;
+          }
           return ck.cursor;
         },
         [&party, &values](std::uint64_t from, std::uint64_t n) {
